@@ -60,7 +60,6 @@ from repro.experiments import EXPERIMENT_GRIDS, EXPERIMENTS
 from repro.experiments.base import EvaluationContext, EvaluationSettings, ExperimentResult
 from repro.sweeps import (
     HalvingConfig,
-    HalvingRunner,
     SweepCache,
     SweepGrid,
     SweepResults,
@@ -150,29 +149,30 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="F",
-        help="Two-stage sweep: score every cell with the queueing surrogate "
+        help="One-shot sweep: score every cell with the queueing surrogate "
         "first and skip the fraction F of each (device, task) group with the "
-        "worst predicted tail latency. Pruned cells keep an aborted "
-        "placeholder row carrying the prediction (default: 0 = simulate "
-        "everything).",
+        "worst predicted tail latency (a one-rung plan). Pruned cells keep an "
+        "aborted placeholder row carrying the prediction (default: 0 = "
+        "simulate everything).",
     )
     parser.add_argument(
         "--prune-slo-ms",
         type=float,
         default=None,
         metavar="MS",
-        help="Two-stage sweep, absolute variant: skip any cell whose "
-        "surrogate-predicted p99 latency exceeds MS. Composes with "
-        "--prune-fraction and with per-cell SLO early aborts.",
+        help="Rung-0 SLO cut: skip any cell whose surrogate-predicted p99 "
+        "latency exceeds MS before the fractional cut. Composes with "
+        "--prune-fraction or --halving-rungs and with per-cell SLO early "
+        "aborts.",
     )
     parser.add_argument(
         "--prune-percentile",
         type=float,
         default=99.0,
         metavar="P",
-        help="Latency percentile the surrogate rankings read, for both the "
-        "two-stage pruning rules and a guided sweep's rung-0 scoring "
-        "(default: 99, the paper's SLO percentile). Must be within (0, 100].",
+        help="Latency percentile the surrogate's rung-0 ranking and the SLO "
+        "cut read (default: 99, the paper's SLO percentile). Must be within "
+        "(0, 100].",
     )
     parser.add_argument(
         "--halving-rungs",
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate survivors at reduced request counts, re-rank them on "
         "measured makespans and recalibrate the surrogate; rung N runs the "
         "finalists at full fidelity, byte-identical to an exhaustive run. "
-        "Mutually exclusive with --prune-fraction/--prune-slo-ms.",
+        "Mutually exclusive with --prune-fraction.",
     )
     parser.add_argument(
         "--halving-keep-fraction",
@@ -247,10 +247,7 @@ def run_experiments(
     cache_dir: Optional[str] = None,
     progress: bool = False,
     hosts: Optional[Sequence[str]] = None,
-    prune_fraction: float = 0.0,
-    prune_slo_ms: Optional[float] = None,
-    prune_percentile: float = 99.0,
-    halving: Optional[HalvingConfig] = None,
+    plan: Optional[HalvingConfig] = None,
     results: Optional[SweepResults] = None,
 ) -> List[Tuple[str, ExperimentResult, float]]:
     """Run experiments over one shared sweep execution.
@@ -266,47 +263,31 @@ def run_experiments(
     individual run functions (e.g. a smaller ``sample_size`` for the
     offline-tuning figures).  ``cache_dir`` backs the sweep with an
     on-disk cell cache; ``progress`` streams live cell/row counts to
-    stderr via the runner's ``run_iter``.  ``prune_fraction`` /
-    ``prune_slo_ms`` turn the sweep two-stage: the queueing surrogate
-    scores every cell and only the survivors are fully simulated
-    (pruned cells keep aborted placeholder rows carrying predictions);
-    both rules rank on the surrogate's ``prune_percentile`` latency.
-    ``halving`` replaces the one-shot cut with the successive-halving
-    scheduler (:class:`~repro.sweeps.halving.HalvingRunner`): measured
-    low-fidelity rungs re-rank survivors and recalibrate the surrogate
-    before the final full-fidelity rung.  Passing ``results`` lets the
-    caller keep the shared store afterwards — a guided sweep leaves its
+    stderr via the runner's ``run_iter``.  ``plan`` (a
+    :class:`~repro.sweeps.halving.HalvingConfig`) has the queueing
+    surrogate score every cell, optionally re-ranks survivors on measured
+    low-fidelity rungs, and fully simulates only the finalists (dropped
+    cells keep aborted placeholder rows carrying predictions).  Passing
+    ``results`` lets the caller keep the shared store afterwards — a
+    planned sweep leaves its
     :attr:`~repro.sweeps.results.SweepResults.drift_report` there.
     """
     context = EvaluationContext(settings)
     grid = collect_grid(names, settings)
     cache = SweepCache(cache_dir, settings) if cache_dir else None
-    runner: "SweepRunner | HalvingRunner"
-    if halving is not None:
-        if hosts is not None:
-            runner = HalvingRunner(
-                settings=settings, jobs=jobs, hosts=hosts, cache=cache, config=halving
-            )
-        elif jobs > 1:
-            runner = HalvingRunner(settings=settings, jobs=jobs, cache=cache, config=halving)
-        else:
-            runner = HalvingRunner(context=context, cache=cache, config=halving)
-    else:
-        prune = {
-            "prune_fraction": prune_fraction,
-            "prune_slo_ms": prune_slo_ms,
-            "prune_percentile": prune_percentile,
-        }
-        if hosts is not None:
-            # jobs is forwarded so a conflicting jobs>1 raises the runner's
-            # mutual-exclusion error instead of being silently dropped, and
-            # an *empty* hosts value is rejected loudly by the runner rather
-            # than falling back to a serial sweep.
-            runner = SweepRunner(settings=settings, jobs=jobs, hosts=hosts, cache=cache, **prune)
-        elif jobs > 1:
-            runner = SweepRunner(settings=settings, jobs=jobs, cache=cache, **prune)
-        else:
-            runner = SweepRunner(context=context, cache=cache, **prune)
+    # jobs is forwarded alongside hosts so a conflicting jobs>1 raises the
+    # runner's mutual-exclusion error instead of being silently dropped,
+    # and an *empty* hosts value is rejected loudly by the runner rather
+    # than falling back to a serial sweep.  Only a serial sweep runs on
+    # the shared context; pools and worker hosts build their own.
+    runner = SweepRunner(
+        settings=settings,
+        jobs=jobs,
+        hosts=hosts,
+        context=context if hosts is None and jobs <= 1 else None,
+        cache=cache,
+        plan=plan,
+    )
     results = results if results is not None else SweepResults()
     if progress:
         total = len(grid)
@@ -363,27 +344,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"--hosts: {exc}")
     if not 0.0 <= arguments.prune_fraction < 1.0:
         parser.error("--prune-fraction must be within [0, 1)")
-    if arguments.prune_slo_ms is not None and arguments.prune_slo_ms <= 0:
-        parser.error("--prune-slo-ms must be positive")
     if not 0.0 < arguments.prune_percentile <= 100.0:
         parser.error("--prune-percentile must be within (0, 100]")
-    halving: Optional[HalvingConfig] = None
-    if arguments.halving_rungs is not None:
-        if arguments.prune_fraction > 0.0 or arguments.prune_slo_ms is not None:
-            parser.error(
-                "--halving-rungs and --prune-fraction/--prune-slo-ms are "
-                "mutually exclusive: the rung-0 surrogate cut subsumes "
-                "one-shot pruning"
-            )
+    if arguments.halving_rungs is not None and arguments.prune_fraction > 0.0:
+        parser.error(
+            "--halving-rungs and --prune-fraction are mutually exclusive: the "
+            "ladder's rung-0 surrogate cut is the one-shot cut"
+        )
+    # Both flag families build one plan: a one-shot cut is a one-rung ladder.
+    if arguments.halving_rungs is None:
+        rungs, keep_fraction = 1, 1.0 - arguments.prune_fraction
+    else:
+        rungs, keep_fraction = arguments.halving_rungs, arguments.halving_keep_fraction
+    plan: Optional[HalvingConfig] = None
+    if (
+        arguments.halving_rungs is not None
+        or keep_fraction < 1.0
+        or arguments.prune_slo_ms is not None
+    ):
         try:
-            halving = HalvingConfig(
-                rungs=arguments.halving_rungs,
-                keep_fraction=arguments.halving_keep_fraction,
+            plan = HalvingConfig(
+                rungs=rungs,
+                keep_fraction=keep_fraction,
                 min_requests=arguments.halving_min_requests,
                 percentile=arguments.prune_percentile,
+                slo_ms=arguments.prune_slo_ms,
             )
         except ValueError as exc:
-            parser.error(f"--halving-rungs/--halving-keep-fraction/--halving-min-requests: {exc}")
+            parser.error(f"invalid sweep plan: {exc}")
 
     settings = EvaluationSettings(
         full_scale=arguments.full_scale,
@@ -402,15 +390,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cache_dir=arguments.cache,
         progress=arguments.progress,
         hosts=arguments.hosts,
-        prune_fraction=arguments.prune_fraction,
-        prune_slo_ms=arguments.prune_slo_ms,
-        prune_percentile=arguments.prune_percentile,
-        halving=halving,
+        plan=plan,
         results=results,
     )
     total_elapsed = time.perf_counter() - start
     if results.drift_report is not None:
-        # Guided sweeps surface their per-rung predicted-vs-measured
+        # Planned sweeps surface their per-rung predicted-vs-measured
         # drift as an extra pseudo-experiment so every output path
         # (table, json, csv, --output) carries it.
         drift = results.drift_report

@@ -1,8 +1,7 @@
 """RL008 — the public-docstring gate, as a lint rule.
 
-Formerly the standalone ``tools/check_docstrings.py`` (which now shims
-to this checker).  The rules are unchanged and deliberately small —
-this is a documentation gate, not a style linter:
+The rules are deliberately small — this is a documentation gate, not a
+style linter:
 
 - every module needs a module docstring;
 - every public (non-underscore) module-level class and function needs
@@ -11,10 +10,9 @@ this is a documentation gate, not a style linter:
   dunders (``__init__`` semantics belong in the class docstring, which
   is where this codebase documents parameters).
 
-Names starting with ``_`` are implementation detail and exempt.  Under
-the full analyzer the rule scopes itself to :data:`GATED_PREFIXES` —
-the surfaces ``docs/`` leans on most; the shim checks whatever paths it
-is given, preserving the old CLI contract.
+Names starting with ``_`` are implementation detail and exempt (so are
+the methods of a private class).  The rule scopes itself to
+:data:`GATED_PREFIXES` — the surfaces ``docs/`` leans on most.
 """
 
 from __future__ import annotations
@@ -54,17 +52,12 @@ class DocstringChecker(Checker):
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         """Yield a diagnostic per undocumented public name."""
-        yield from check_tree(ctx)
-
-
-def check_tree(ctx: FileContext) -> Iterator[Diagnostic]:
-    """The docstring rules over one parsed file (shared with the shim)."""
-    if ast.get_docstring(ctx.tree) is None:
-        yield Diagnostic(
-            path=ctx.rel_path, line=1, column=0, rule="RL008",
-            message="missing docstring on module",
-        )
-    yield from _check_body(ctx, ctx.tree.body, prefix="")
+        if ast.get_docstring(ctx.tree) is None:
+            yield Diagnostic(
+                path=ctx.rel_path, line=1, column=0, rule="RL008",
+                message="missing docstring on module",
+            )
+        yield from _check_body(ctx, ctx.tree.body, prefix="")
 
 
 def _is_public(name: str) -> bool:

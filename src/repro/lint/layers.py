@@ -7,9 +7,9 @@ the packages it may import **at module level at runtime**.  Imports
 inside ``if TYPE_CHECKING:`` blocks and inside function bodies are
 exempt by design: they are the sanctioned escape hatches for typing
 cycles and deliberate laziness (e.g. ``repro.sweeps.runner`` importing
-the surrogate only when pruning is requested), and both patterns are
-already idiomatic in this codebase.  ``sweeps`` → ``surrogate`` is also
-a sanctioned *module-level* edge: the successive-halving scheduler
+the experiments layer only when it builds a context), and both patterns
+are already idiomatic in this codebase.  ``sweeps`` → ``surrogate`` is
+also a sanctioned *module-level* edge: the sweep planner
 (``repro.sweeps.halving``) is built around the surrogate, and the
 surrogate package never imports ``sweeps`` at runtime, so the edge is
 acyclic.

@@ -233,9 +233,3 @@ class _PerPoolRecencyPolicy(EvictionPolicy):
             if covered >= bytes_to_free:
                 break
         return victims
-
-
-#: Backwards-compatible aliases (pools used to be strictly per-executor,
-#: and the bump order used to be stored as explicit integer ticks).
-_PerPoolCounterPolicy = _PerPoolRecencyPolicy
-_PerExecutorCounterPolicy = _PerPoolRecencyPolicy

@@ -22,15 +22,14 @@ Three modules:
   :class:`~repro.surrogate.validation.DriftReport` guided sweeps use to
   surface predicted-vs-measured drift per rung.
 
-The sweep layer consumes this package through
-:class:`~repro.sweeps.runner.SweepRunner`'s two-stage pruning knobs
-(``prune_fraction`` / ``prune_slo_ms``) and through
-:class:`~repro.sweeps.halving.HalvingRunner`, the successive-halving
-scheduler that re-ranks on measured rung rows and refits the model's
-calibration constants via
+The sweep layer consumes this package through its planner
+(:mod:`repro.sweeps.halving`, run by
+:class:`~repro.sweeps.runner.SweepRunner` when given a ``plan`` or a
+``prune_fraction``): the surrogate ranks every cell on rung 0, and
+measured rungs re-rank survivors and refit the model's calibration
+constants via
 :meth:`~repro.surrogate.model.QueueingSurrogate.recalibrated`; see the
-"Two-stage pruned sweeps" and "Guided successive-halving sweeps"
-sections of ``docs/sweeps.md``.
+"Planned sweeps" section of ``docs/sweeps.md``.
 """
 
 from repro.surrogate.features import CellFeatures, StageClass, extract_features

@@ -113,10 +113,10 @@ class RungDrift:
 
 @dataclass(frozen=True)
 class DriftReport:
-    """Predicted-vs-measured drift across a guided sweep's rungs.
+    """Predicted-vs-measured drift across a planned sweep's rungs.
 
-    Built by the successive-halving scheduler
-    (:class:`~repro.sweeps.halving.HalvingRunner`) from each rung's
+    Built by the sweep planner (:func:`~repro.sweeps.halving.climb`)
+    from each simulated rung's
     (estimate, measured result) pairs, surfaced on
     :class:`~repro.sweeps.results.SweepResults` and — via the
     experiments CLI — in the figure tables and ``--format json``

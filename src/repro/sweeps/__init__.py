@@ -21,16 +21,17 @@ data:
   as the shared result store of distributed sweeps (workers write, the
   coordinator verifies-on-load).
 
-Two-stage sweeps (``SweepRunner(prune_fraction=..., prune_slo_ms=...)``)
-insert :mod:`repro.surrogate`'s queueing model between the cache and the
-executor: every missing cell is scored analytically, predictably-bad
-cells are pruned (aborted placeholder results, never simulated, never
-cached), and only the survivors pay for full simulation.
-:class:`HalvingRunner` (:mod:`repro.sweeps.halving`) generalises the
-one-shot cut into a successive-halving rung ladder: surrogate scoring,
-then measured low-fidelity rungs (reduced ``num_requests`` overrides)
-that re-rank survivors and recalibrate the surrogate, then a final
-full-fidelity rung byte-identical to an exhaustive run.
+Planned sweeps (``SweepRunner(plan=HalvingConfig(...))``, or the
+``prune_fraction`` shorthand for a one-shot cut) insert the
+:mod:`repro.sweeps.halving` rung ladder between the cache and the
+executor: :mod:`repro.surrogate`'s queueing model scores every missing
+cell analytically, optional measured low-fidelity rungs (reduced
+``num_requests`` overrides) re-rank survivors and recalibrate the
+surrogate, and only the finalists pay for full simulation —
+byte-identical to an exhaustive run.  Dropped cells keep aborted
+placeholder results, never cached.  A one-shot cut is the plan with
+``rungs=1``; :class:`HalvingRunner` is a runner whose plan defaults to
+a two-rung ladder.
 
 The distributed worker process lives in :mod:`repro.sweeps.worker`
 (console script ``coserve-sweep-worker``); ``docs/sweeps.md`` has a
@@ -39,9 +40,10 @@ runnable multi-host walkthrough.
 
 from repro.sweeps.spec import FIDELITY_OVERRIDE_KEY, SweepCell, SweepGrid
 from repro.sweeps.cache import PRUNED_ABORT_PREFIX, SweepCache, settings_fingerprint
-from repro.sweeps.halving import HalvingConfig, HalvingRunner, RungPlan
+from repro.sweeps.halving import HalvingConfig, RungPlan
 from repro.sweeps.results import SweepResults
 from repro.sweeps.runner import (
+    HalvingRunner,
     ProcessPoolExecutor,
     SerialExecutor,
     SweepExecutor,

@@ -17,10 +17,9 @@ localhost walkthroughs zero-config).  The protocol is seven message
 kinds, coordinator-to-worker ``hello`` / ``lease`` / ``bye`` and
 worker-to-coordinator ``ready`` / ``lease_results`` / ``lease_done`` /
 ``error`` — see :mod:`repro.sweeps.worker` for the worker's side.
-Results come back batched, one ``lease_results`` message per lease
-(the coordinator also accepts the pre-batching per-cell ``result``
-form, so a newer coordinator can drive an older worker fleet
-mid-upgrade).
+Results come back batched, one ``lease_results`` message per lease.
+A worker sending any other message is dropped like a dead one: its
+open lease is re-leased to the survivors.
 
 Fault model: a lease is acknowledged only by its ``lease_done``
 message.  If a worker's connection drops first — a process crash closes
@@ -559,11 +558,6 @@ class DistributedExecutor(SweepExecutor):
                         _, _, pairs = message
                         for cell, result in pairs:
                             state.queue.put(("result", cell, result))
-                    elif kind == "result":
-                        # Pre-batching workers stream one message per
-                        # cell; accept it so mixed fleets keep working.
-                        _, _, cell, result = message
-                        state.queue.put(("result", cell, result))
                     elif kind == "lease_done":
                         lease = None
                         break

@@ -1,50 +1,56 @@
-"""Guided multi-fidelity sweeps: the successive-halving scheduler.
+"""The sweep planner: one rung ladder behind every surrogate-guided sweep.
 
-PR 7's two-stage filter spends the surrogate's prediction exactly once:
-cells it keeps are simulated at full request count, and a cell the
-surrogate mis-ranks is either wastefully simulated or wrongly dropped.
-:class:`HalvingRunner` turns that one-shot cut into a *rung ladder*:
+A plan (:class:`HalvingConfig`) decides which cells of a sweep are worth
+simulating at full fidelity.  :class:`~repro.sweeps.runner.SweepRunner`
+runs it between its cache preload and its executor:
 
 1. **Rung 0 (free)** — every cell is scored by the
-   :class:`~repro.surrogate.model.QueueingSurrogate`; each
-   (device, task) group keeps its predicted-best ``keep_fraction``.
-2. **Low-fidelity rungs** — survivors are simulated at a reduced
-   request count (geometrically escalating from ``min_requests`` toward
-   full fidelity).  Rung cells are ordinary
+   :class:`~repro.surrogate.model.QueueingSurrogate`.  Cells predicted
+   to miss the plan's ``slo_ms`` target are dropped; each (device, task)
+   group then keeps its predicted-best ``keep_fraction``.
+2. **Measured rungs** (``rungs > 1``) — survivors are simulated at a
+   reduced request count (geometrically escalating from
+   ``min_requests`` toward full fidelity).  Rung cells are ordinary
    :class:`~repro.sweeps.spec.SweepCell`s carrying a
-   :meth:`~repro.sweeps.spec.SweepCell.at_fidelity` override, so rung
-   rows flow through the unchanged cache/executor machinery — they
-   cache under their own identity and distribute across ``--jobs``
-   pools or ``--hosts`` fleets like any other cell.  After each rung
-   the survivors are **re-ranked on measured makespans** (prediction
-   error can no longer drop a cell the measurements like) and the
-   surrogate's calibration constants are **refit from the rung's
+   :meth:`~repro.sweeps.spec.SweepCell.at_fidelity` override, so they
+   cache under their own identity and run on every backend.  After
+   each rung the survivors are **re-ranked on measured makespans** and
+   the surrogate's calibration constants are **refit from the rung's
    (predicted, measured) pairs**
    (:meth:`~repro.surrogate.model.QueueingSurrogate.recalibrated`).
 3. **Final rung** — the remaining cells run at full fidelity with no
    override, byte-identical to an exhaustive run of the same cells.
 
-Dropped cells keep the two-stage path's aborted placeholder rows
-(never cached), annotated with the rung that dropped them; pinned
-cells ride through every rung un-droppable.  A
-:class:`~repro.surrogate.validation.DriftReport` recording
-predicted-vs-measured error per rung lands on the results store
-(:attr:`~repro.sweeps.results.SweepResults.drift_report`) and flows
-into the CLI's figure tables and JSON output.
+A one-shot surrogate cut is the plan with ``rungs=1``: rung 0 followed
+directly by the final rung (``SweepRunner(prune_fraction=f)`` builds
+``HalvingConfig(rungs=1, keep_fraction=1 - f)``).  Every selection
+point uses :func:`select_survivors`, so the keep count and the tie rule
+are the same wherever cells are cut.
 
-Compared to one-shot pruning at the same final cell count, the ladder
-buys its confidence cheaply: ranking mistakes are corrected by
-low-fidelity *measurements* costing a few percent of a full simulation,
-so the full-fidelity budget shrinks to the genuinely contested cells —
-``benchmarks/test_bench_sweep_halving.py`` guards the resulting
-wall-clock win.
+Dropped cells keep aborted placeholder rows (never cached) naming the
+rung that dropped them; pinned cells ride through every rung.  A
+:class:`~repro.surrogate.validation.DriftReport` recording
+predicted-vs-measured error per simulated rung lands on the results
+store (:attr:`~repro.sweeps.results.SweepResults.drift_report`) and
+flows into the CLI's ``sweep_drift`` table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.simulation.results import SimulationResult
 from repro.surrogate import (
@@ -54,27 +60,30 @@ from repro.surrogate import (
     extract_features,
     rung_drift,
 )
-from repro.sweeps.cache import SweepCache
+from repro.sweeps.cache import PRUNED_ABORT_PREFIX
 from repro.sweeps.results import SweepResults
-from repro.sweeps.runner import SweepExecutor, SweepRunner, _pruned_placeholder
-from repro.sweeps.spec import CellKey, SweepCell, SweepGrid
+from repro.sweeps.spec import CellKey, SweepCell
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.base import EvaluationContext, EvaluationSettings
     from repro.surrogate.features import CellFeatures
+    from repro.surrogate.model import SurrogateEstimate
+    from repro.sweeps.runner import SweepRunner
+
+#: Streams ``(cell, result)`` pairs, like ``SweepRunner.run_iter``.
+_Rows = Iterator[Tuple[SweepCell, SimulationResult]]
 
 
 @dataclass(frozen=True, slots=True)
 class HalvingConfig:
-    """Shape of a successive-halving schedule.
+    """A sweep plan: the shape of a successive-halving rung ladder.
 
     Parameters
     ----------
     rungs:
-        Number of *simulated* rungs.  ``1`` degenerates to the one-shot
-        surrogate cut followed by full-fidelity simulation; ``2`` (the
-        default) inserts one measured low-fidelity rung between the
-        surrogate and the final full-fidelity rung; higher values add
+        Number of *simulated* rungs.  ``1`` is the one-shot surrogate
+        cut followed by full-fidelity simulation; ``2`` (the default)
+        inserts one measured low-fidelity rung between the surrogate
+        and the final full-fidelity rung; higher values add
         intermediate fidelities on a geometric ramp.
     keep_fraction:
         Fraction of each (device, task) group's unpinned cells escalated
@@ -88,19 +97,22 @@ class HalvingConfig:
         fidelity (no override), and its rows are carried into the final
         rung rather than re-simulated.
     percentile:
-        Latency percentile the rung-0 surrogate ranking reads (the
-        CLI's ``--prune-percentile``; measured rungs rank on makespan).
-    recalibrate:
-        Refit the surrogate's calibration constants from each measured
-        rung's (predicted, measured) pairs.  On by default; disable to
-        measure how much auto-recalibration buys.
+        Latency percentile the rung-0 surrogate ranking and ``slo_ms``
+        read (the CLI's ``--prune-percentile``; measured rungs rank on
+        makespan).
+    slo_ms:
+        Optional rung-0 target: unpinned cells whose predicted
+        ``percentile`` latency exceeds it are dropped before the
+        fractional cut, which then applies to what remains.  Composes
+        with per-cell ``slo_target_ms`` overrides (surviving SLO cells
+        still run under their early-abort monitor).
     """
 
     rungs: int = 2
     keep_fraction: float = 0.5
     min_requests: int = 150
     percentile: float = 99.0
-    recalibrate: bool = True
+    slo_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.rungs < 1:
@@ -111,6 +123,8 @@ class HalvingConfig:
             raise ValueError("min_requests must be a positive request count")
         if not 0.0 < self.percentile <= 100.0:
             raise ValueError("percentile must be within (0, 100]")
+        if self.slo_ms is not None and self.slo_ms <= 0.0:
+            raise ValueError("slo_ms must be positive")
 
     def request_count(self, rung: int, full_requests: int) -> Optional[int]:
         """The request count of ``rung`` (1-based) for a task's full count.
@@ -149,269 +163,183 @@ class RungPlan:
     request_counts: Tuple[Optional[int], ...]
 
 
-class HalvingRunner:
-    """Execute a grid through a successive-halving rung ladder.
+def select_survivors(
+    alive: Sequence[SweepCell],
+    scores: Mapping[CellKey, float],
+    keep_fraction: float,
+    limit: Optional[float] = None,
+) -> Tuple[List[SweepCell], List[SweepCell]]:
+    """Split ``alive`` into survivors and dropped cells, per group.
 
-    Construction mirrors :class:`~repro.sweeps.runner.SweepRunner` —
-    the same ``jobs``/``hosts``/``executor`` knobs pick the backend that
-    executes each rung's cells, the same ``cache`` persists every
-    genuinely simulated row (full- and low-fidelity alike, under their
-    own identities) — plus a :class:`HalvingConfig` describing the
-    ladder.  The one-shot pruning knobs are intentionally absent: the
-    rung-0 surrogate cut subsumes them.
-
-    ``run``/``run_iter`` keep the runner contract: every yielded
-    ``(cell, result)`` pair is a cell of the *caller's* grid (cache
-    hits, dropped-cell placeholders, final-fidelity rows) already added
-    to the results store; low-fidelity rung rows stay internal (and in
-    the cache).  After a run, :attr:`last_schedule` holds the executed
-    :class:`RungPlan` ladder and the results store carries a
-    :class:`~repro.surrogate.validation.DriftReport`.
+    Lower score is better.  Unpinned cells scoring above ``limit`` are
+    dropped first.  Of the rest, each (device, task) group keeps its
+    best ``ceil(n * keep_fraction)`` (at least one); the product is
+    rounded to 1e-9 first, so float artefacts such as ``25 * 0.28 =
+    7.000000000000001`` do not keep an extra cell.  Equal scores go to
+    the cell earlier in ``alive``, so the selection is deterministic and
+    backend-independent.  Pinned cells always survive.  Both lists keep
+    ``alive``'s order.
     """
+    groups: Dict[Tuple[str, str], List[Tuple[float, int, CellKey]]] = {}
+    for index, cell in enumerate(alive):
+        score = scores[cell.key]
+        if not cell.pin and (limit is None or score <= limit):
+            groups.setdefault((cell.device, cell.task), []).append((score, index, cell.key))
+    kept: Set[CellKey] = set()
+    for group in groups.values():
+        group.sort()
+        keep = max(1, math.ceil(round(len(group) * keep_fraction, 9)))
+        kept.update(key for _, _, key in group[:keep])
+    survivors = [cell for cell in alive if cell.pin or cell.key in kept]
+    dropped = [cell for cell in alive if not cell.pin and cell.key not in kept]
+    return survivors, dropped
 
-    def __init__(
-        self,
-        settings: Optional["EvaluationSettings"] = None,
-        jobs: int = 1,
-        context: Optional["EvaluationContext"] = None,
-        cache: Optional[SweepCache] = None,
-        hosts: Optional[Sequence[str]] = None,
-        executor: Optional[SweepExecutor] = None,
-        config: Optional[HalvingConfig] = None,
-    ) -> None:
-        self.config = config if config is not None else HalvingConfig()
-        self._runner = SweepRunner(
-            settings=settings,
-            jobs=jobs,
-            context=context,
-            cache=cache,
-            hosts=hosts,
-            executor=executor,
+
+def _pruned_placeholder(
+    cell: SweepCell,
+    features: "CellFeatures",
+    estimate: "SurrogateEstimate",
+    reason: str,
+) -> SimulationResult:
+    """A synthetic aborted result standing in for a dropped cell's run.
+
+    The whole-run aggregates are the surrogate's predictions (so reports
+    still show a ranked number for the cell) and the per-executor
+    breakdown is empty — nothing was simulated.  The ``abort_reason``
+    prefix is what :meth:`SweepCache.store` refuses, keeping placeholders
+    out of the on-disk cache.
+    """
+    return SimulationResult(
+        system_name=cell.system,
+        device_name=cell.device,
+        workload_name=cell.task,
+        num_requests=features.num_requests,
+        makespan_ms=estimate.makespan_ms,
+        total_execution_ms=estimate.exec_work_ms,
+        total_switching_ms=estimate.switch_work_ms,
+        total_scheduling_ms=estimate.sched_work_ms,
+        expert_loads=estimate.predicted_loads,
+        expert_switches=estimate.predicted_loads,
+        loads_from_ssd=0,
+        loads_from_cache=0,
+        executors=(),
+        aborted=True,
+        abort_reason=f"{PRUNED_ABORT_PREFIX}: {reason}",
+    )
+
+
+def climb(
+    runner: "SweepRunner",
+    plan: HalvingConfig,
+    todo: List[SweepCell],
+    results: SweepResults,
+    execute: Callable[[List[SweepCell]], _Rows],
+) -> _Rows:
+    """Run ``plan`` over the cells ``todo``, yielding grid cells as resolved.
+
+    ``todo`` are the cells the runner's cache preload missed.  Yields
+    each selection point's dropped-cell placeholders as rungs complete,
+    then the finalists' full-fidelity rows through ``execute`` (the
+    runner's execute-and-store step).  Measured-rung rows stay internal
+    (but cached, so a repeated sweep skips its cheap rungs too).  The
+    executed ladder is left on ``runner.last_schedule`` and a
+    :class:`~repro.surrogate.validation.DriftReport` on ``results``.
+    """
+    context = runner._scoring_context()
+    surrogate = QueueingSurrogate()
+    q = plan.percentile
+    kept = f"ranks outside the kept {plan.keep_fraction:.0%} of its (device, task) group"
+    features: Dict[CellKey, "CellFeatures"] = {}
+
+    def drop(cell: SweepCell, rung: int, why: str) -> _Rows:
+        reason = f"successive halving dropped it at rung {rung}: {why}"
+        placeholder = _pruned_placeholder(
+            cell, features[cell.key], results.estimate_for(cell), reason
         )
-        self.settings = self._runner.settings
-        self.cache = cache
-        #: The rung ladder of the most recent ``run``/``run_iter``.
-        self.last_schedule: List[RungPlan] = []
+        if results.add(cell, placeholder):
+            results.mark_pruned(cell)
+            yield cell, placeholder
 
-    @property
-    def executor(self) -> SweepExecutor:
-        """The executor every rung's cells are dispatched through."""
-        return self._runner.executor
+    # Rung 0: analytical scoring, free of simulation.
+    scores: Dict[CellKey, float] = {}
+    for cell in todo:
+        features[cell.key] = extract_features(context, cell)
+        estimate = surrogate.estimate(features[cell.key])
+        results.record_estimate(cell, estimate)
+        scores[cell.key] = estimate.latency_ms(q)
+    runner.last_schedule.append(
+        RungPlan(0, tuple(cell.key for cell in todo), (None,) * len(todo))
+    )
+    alive, dropped = select_survivors(todo, scores, plan.keep_fraction, plan.slo_ms)
+    for cell in dropped:
+        why = f"predicted p{q:g} latency {scores[cell.key]:.0f} ms"
+        if plan.slo_ms is not None and scores[cell.key] > plan.slo_ms:
+            yield from drop(cell, 0, f"{why} exceeds the {plan.slo_ms:g} ms target")
+        else:
+            yield from drop(cell, 0, f"{why} {kept}")
 
-    # ------------------------------------------------------------------
-    def _full_requests(self, context: "EvaluationContext", task_name: str) -> int:
-        """A task's full-fidelity request count under the runner's settings."""
-        return self.settings.requests_for(context.task(task_name))
-
-    def _select(
-        self,
-        alive: List[SweepCell],
-        scores: Dict[CellKey, float],
-        order: Dict[CellKey, int],
-    ) -> Tuple[List[SweepCell], List[SweepCell]]:
-        """Split ``alive`` into survivors and dropped cells, per group.
-
-        Lower score is better (predicted tail latency on rung 0,
-        measured makespan afterwards).  Each (device, task) group keeps
-        ``ceil(unpinned * keep_fraction)`` of its unpinned cells (at
-        least one) plus every pinned cell; ties break on grid order, so
-        the selection is deterministic and backend-independent.
-        """
-        groups: Dict[Tuple[str, str], List[SweepCell]] = {}
+    # Measured rungs: simulate, refit the surrogate, re-rank on makespans.
+    drift: List[RungDrift] = []
+    carried: Dict[CellKey, SimulationResult] = {}
+    for rung in range(1, plan.rungs):
+        rung_cells: Dict[CellKey, SweepCell] = {}
+        counts: List[Optional[int]] = []
         for cell in alive:
-            groups.setdefault((cell.device, cell.task), []).append(cell)
-        kept_keys: Dict[CellKey, None] = {}
-        for group in groups.values():
-            unpinned = [cell for cell in group if not cell.pin]
-            for cell in group:
-                if cell.pin:
-                    kept_keys[cell.key] = None
-            if not unpinned:
-                continue
-            keep = max(1, math.ceil(len(unpinned) * self.config.keep_fraction))
-            ranked = sorted(unpinned, key=lambda c: (scores[c.key], order[c.key]))
-            for cell in ranked[:keep]:
-                kept_keys[cell.key] = None
-        survivors = [cell for cell in alive if cell.key in kept_keys]
-        dropped = [cell for cell in alive if cell.key not in kept_keys]
-        return survivors, dropped
-
-    # ------------------------------------------------------------------
-    def run(
-        self, grid: SweepGrid, results: Optional[SweepResults] = None
-    ) -> SweepResults:
-        """Execute the rung ladder over ``grid``, draining :meth:`run_iter`."""
-        results = results if results is not None else SweepResults()
-        for _ in self.run_iter(grid, results=results):
+            full = runner.settings.requests_for(context.task(cell.task))
+            count = plan.request_count(rung, full)
+            counts.append(count)
+            rung_cells[cell.key] = cell if count is None else cell.at_fidelity(count)
+        runner.last_schedule.append(
+            RungPlan(rung, tuple(cell.key for cell in alive), tuple(counts))
+        )
+        rung_results = SweepResults()
+        for _ in runner._pipeline(list(rung_cells.values()), rung_results, None):
             pass
-        return results
-
-    def run_iter(
-        self, grid: SweepGrid, results: Optional[SweepResults] = None
-    ) -> Iterator[Tuple[SweepCell, SimulationResult]]:
-        """Execute a grid through the ladder, yielding grid cells as resolved.
-
-        Yield order: cache hits first, then each selection point's
-        dropped-cell placeholders as rungs complete, then final-rung
-        rows in the backend's completion order.  Exactly the grid cells
-        missing from ``results`` at entry are yielded, which is what CLI
-        progress counts rely on; low-fidelity rung rows are internal
-        (but cached, so a repeated guided sweep skips its cheap rungs
-        too).
-        """
-        results = results if results is not None else SweepResults()
-        self.last_schedule = []
-        todo = results.missing(grid)
-        if todo and self.cache is not None:
-            remaining: List[SweepCell] = []
-            for cell in todo:
-                entry = self.cache.load_entry(cell)
-                if entry is not None:
-                    cached, estimate = entry
-                    results.add(cell, cached)
-                    if estimate is not None:
-                        results.record_estimate(cell, estimate)
-                    yield cell, cached
-                else:
-                    remaining.append(cell)
-            todo = remaining
-        if not todo:
-            return
-
-        context = self._runner._scoring_context()
-        surrogate = QueueingSurrogate()
-        q = self.config.percentile
-        order = {cell.key: index for index, cell in enumerate(todo)}
-
-        # ------------------------------------------------------------------
-        # Rung 0: analytical scoring, free of simulation.
-        # ------------------------------------------------------------------
-        features_full: Dict[CellKey, "CellFeatures"] = {}
-        scores: Dict[CellKey, float] = {}
-        for cell in todo:
-            features = extract_features(context, cell)
-            features_full[cell.key] = features
-            estimate = surrogate.estimate(features)
-            results.record_estimate(cell, estimate)
-            scores[cell.key] = estimate.latency_ms(q)
-        self.last_schedule.append(
-            RungPlan(0, tuple(cell.key for cell in todo), (None,) * len(todo))
-        )
-        alive, dropped = self._select(todo, scores, order)
-        for cell in dropped:
-            reason = (
-                f"successive halving dropped it at rung 0: predicted p{q:g} "
-                f"latency {scores[cell.key]:.0f} ms ranks outside the kept "
-                f"{self.config.keep_fraction:.0%} of its (device, task) group"
-            )
-            placeholder = _pruned_placeholder(
-                cell, features_full[cell.key], results.estimate_for(cell), reason
-            )
-            if results.add(cell, placeholder):
-                results.mark_pruned(cell)
-                yield cell, placeholder
-
-        # ------------------------------------------------------------------
-        # Low-fidelity rungs: simulate, re-rank on measurements, refit.
-        # ------------------------------------------------------------------
-        drift_rungs: List[RungDrift] = []
-        full_rows: Dict[CellKey, SimulationResult] = {}
-        for rung in range(1, self.config.rungs):
-            rung_cells: Dict[CellKey, SweepCell] = {}
-            rung_counts: List[Optional[int]] = []
-            for cell in alive:
-                count = self.config.request_count(
-                    rung, self._full_requests(context, cell.task)
-                )
-                rung_counts.append(count)
-                rung_cells[cell.key] = (
-                    cell if count is None else cell.at_fidelity(count)
-                )
-            self.last_schedule.append(
-                RungPlan(rung, tuple(cell.key for cell in alive), tuple(rung_counts))
-            )
-            rung_results = SweepResults()
-            rung_grid = SweepGrid(tuple(rung_cells.values()))
-            for _ in self._runner.run_iter(rung_grid, results=rung_results):
-                pass
-            measured: Dict[CellKey, SimulationResult] = {}
-            pairs: List[Tuple["CellFeatures", SimulationResult]] = []
-            estimates = []
-            for cell in alive:
-                rung_cell = rung_cells[cell.key]
-                row = rung_results[rung_cell]
-                measured[cell.key] = row
-                if rung_cell.key == cell.key:
-                    # The ramp reached full fidelity early for this
-                    # task: the row *is* the final-rung row; carry it
-                    # forward instead of re-simulating.
-                    full_rows[cell.key] = row
-                    rung_features = features_full[cell.key]
-                else:
-                    rung_features = extract_features(context, rung_cell)
-                pairs.append((rung_features, row))
-                estimates.append(surrogate.estimate(rung_features))
-            recalibrated = False
-            if self.config.recalibrate:
-                refit = surrogate.recalibrated(pairs)
-                recalibrated = refit is not surrogate
-                surrogate = refit
-                if recalibrated:
-                    for cell in alive:
-                        results.record_estimate(
-                            cell, surrogate.estimate(features_full[cell.key])
-                        )
-            drift_rungs.append(
-                rung_drift(
-                    rung,
-                    rung_counts[0] if rung_counts else None,
-                    list(zip(estimates, (measured[c.key] for c in alive))),
-                    recalibrated=recalibrated,
-                )
-            )
-            scores = {key: row.makespan_ms for key, row in measured.items()}
-            alive, dropped = self._select(alive, scores, order)
-            for cell in dropped:
-                count = rung_cells[cell.key].fidelity
-                fidelity = "full fidelity" if count is None else f"{count} requests"
-                reason = (
-                    f"successive halving dropped it at rung {rung}: measured "
-                    f"makespan {scores[cell.key]:.0f} ms at {fidelity} ranks "
-                    f"outside the kept {self.config.keep_fraction:.0%} of its "
-                    "(device, task) group"
-                )
-                placeholder = _pruned_placeholder(
-                    cell, features_full[cell.key], results.estimate_for(cell), reason
-                )
-                if results.add(cell, placeholder):
-                    results.mark_pruned(cell)
-                    yield cell, placeholder
-
-        # ------------------------------------------------------------------
-        # Final rung: full fidelity, byte-identical to an exhaustive run.
-        # ------------------------------------------------------------------
-        self.last_schedule.append(
-            RungPlan(
-                self.config.rungs,
-                tuple(cell.key for cell in alive),
-                (None,) * len(alive),
-            )
-        )
+        pairs: List[Tuple["CellFeatures", SimulationResult]] = []
         for cell in alive:
-            carried = full_rows.get(cell.key)
-            if carried is not None and results.add(cell, carried):
-                yield cell, carried
-        final_grid = SweepGrid(tuple(cell for cell in alive if cell.key not in full_rows))
-        for cell, result in self._runner.run_iter(final_grid, results=results):
-            yield cell, result
-        final_pairs = [
-            (results.estimate_for(cell), results[cell]) for cell in alive
-        ]
-        drift_rungs.append(
-            rung_drift(self.config.rungs, None, final_pairs)
+            rung_cell = rung_cells[cell.key]
+            row = rung_results[rung_cell]
+            if rung_cell is cell:
+                # The ramp reached full fidelity early for this task:
+                # the row *is* the final-rung row; carry it forward
+                # instead of re-simulating.
+                carried[cell.key] = row
+                pairs.append((features[cell.key], row))
+            else:
+                pairs.append((extract_features(context, rung_cell), row))
+        estimates = [surrogate.estimate(rung_features) for rung_features, _ in pairs]
+        refit = surrogate.recalibrated(pairs)
+        recalibrated = refit is not surrogate
+        surrogate = refit
+        if recalibrated:
+            for cell in alive:
+                results.record_estimate(cell, surrogate.estimate(features[cell.key]))
+        measured = [row for _, row in pairs]
+        drift.append(
+            rung_drift(
+                rung,
+                counts[0] if counts else None,
+                list(zip(estimates, measured)),
+                recalibrated=recalibrated,
+            )
         )
-        results.set_drift_report(DriftReport(percentile=q, rungs=tuple(drift_rungs)))
+        scores = {cell.key: row.makespan_ms for cell, row in zip(alive, measured)}
+        alive, dropped = select_survivors(alive, scores, plan.keep_fraction)
+        for cell in dropped:
+            count = rung_cells[cell.key].fidelity
+            at = "full fidelity" if count is None else f"{count} requests"
+            why = f"measured makespan {scores[cell.key]:.0f} ms at {at} {kept}"
+            yield from drop(cell, rung, why)
 
-    def close(self) -> None:
-        """Shut the underlying executor down (idempotent)."""
-        self._runner.close()
+    # Final rung: full fidelity, byte-identical to an exhaustive run.
+    runner.last_schedule.append(
+        RungPlan(plan.rungs, tuple(cell.key for cell in alive), (None,) * len(alive))
+    )
+    for cell in alive:
+        row = carried.get(cell.key)
+        if row is not None and results.add(cell, row):
+            yield cell, row
+    yield from execute([cell for cell in alive if cell.key not in carried])
+    final_pairs = [(results.estimate_for(cell), results[cell]) for cell in alive]
+    drift.append(rung_drift(plan.rungs, None, final_pairs))
+    results.set_drift_report(DriftReport(percentile=q, rungs=tuple(drift)))

@@ -6,7 +6,7 @@ modules assemble their rows by looking cells up here instead of calling
 the simulator directly, which is what lets one execution of the unioned
 grid feed every figure.
 
-Two-stage (surrogate-pruned) sweeps annotate the store further: every
+Planned (surrogate-guided) sweeps annotate the store further: every
 scored cell can carry its
 :class:`~repro.surrogate.model.SurrogateEstimate` alongside the
 simulated result, and cells the surrogate pruned are marked so reports
@@ -135,18 +135,18 @@ class SweepResults:
         return iter(self._estimates.items())
 
     # ------------------------------------------------------------------
-    # Guided-sweep drift
+    # Planned-sweep drift
     # ------------------------------------------------------------------
     def set_drift_report(self, report: "DriftReport") -> None:
-        """Attach the guided sweep's predicted-vs-measured drift report."""
+        """Attach the planned sweep's predicted-vs-measured drift report."""
         self._drift = report
 
     @property
     def drift_report(self) -> Optional["DriftReport"]:
-        """Per-rung predicted-vs-measured drift of a guided sweep, if any.
+        """Per-rung predicted-vs-measured drift of a planned sweep, if any.
 
-        Set by :class:`~repro.sweeps.halving.HalvingRunner` after its
-        final rung; the experiments CLI surfaces it in the figure tables
-        and ``--format json`` output.
+        Set by a planned :class:`~repro.sweeps.runner.SweepRunner` after
+        its final rung; the experiments CLI surfaces it in the figure
+        tables and ``--format json`` output.
         """
         return self._drift

@@ -35,31 +35,35 @@ only arrival order differs.  Cell execution itself is deterministic
 is enforceable — ``tests/test_sweeps.py`` asserts it for every
 registered experiment across all three executors.
 
-With a :class:`~repro.sweeps.cache.SweepCache` attached, cells already
-simulated under the same settings fingerprint are loaded from disk
-(and yielded immediately) instead of re-executed, and every newly
-computed cell is persisted — repeated figure regenerations across
-processes skip all shared work.
+Every run goes through one pipeline: cache preload, an optional plan,
+execute and store.  With a :class:`~repro.sweeps.cache.SweepCache`
+attached, cells already simulated under the same settings fingerprint
+are loaded from disk (and yielded immediately) instead of re-executed,
+and every newly computed cell is persisted — repeated figure
+regenerations across processes skip all shared work.  A ``plan``
+(:class:`~repro.sweeps.halving.HalvingConfig`) then has the surrogate
+and any measured rungs cut the cache misses down to the finalists
+before the executor runs them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from concurrent import futures
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.serving.factory import build_system
 from repro.simulation.results import SimulationResult
 from repro.simulation.session import SimulationAborted
 from repro.simulation.slo import SLOMonitor
-from repro.sweeps.cache import PRUNED_ABORT_PREFIX, SweepCache
+from repro.sweeps.cache import SweepCache
+from repro.sweeps.halving import HalvingConfig, climb
 from repro.sweeps.results import SweepResults
 from repro.sweeps.spec import FIDELITY_OVERRIDE_KEY, CellKey, SweepCell, SweepGrid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.base import EvaluationContext, EvaluationSettings
-    from repro.surrogate.features import CellFeatures
-    from repro.surrogate.model import SurrogateEstimate
+    from repro.sweeps.halving import RungPlan
 
 
 def _experiments_base():
@@ -157,39 +161,6 @@ def execute_cell(
     if not keep_requests and result.requests:
         result = dataclasses.replace(result, requests=())
     return result
-
-
-def _pruned_placeholder(
-    cell: SweepCell,
-    features: "CellFeatures",
-    estimate: "SurrogateEstimate",
-    reason: str,
-) -> SimulationResult:
-    """A synthetic aborted result standing in for a pruned cell's run.
-
-    The whole-run aggregates are the surrogate's predictions (so reports
-    still show a ranked number for the cell) and the per-executor
-    breakdown is empty — nothing was simulated.  The ``abort_reason``
-    prefix is what :meth:`SweepCache.store` refuses, keeping placeholders
-    out of the on-disk cache.
-    """
-    return SimulationResult(
-        system_name=cell.system,
-        device_name=cell.device,
-        workload_name=cell.task,
-        num_requests=features.num_requests,
-        makespan_ms=estimate.makespan_ms,
-        total_execution_ms=estimate.exec_work_ms,
-        total_switching_ms=estimate.switch_work_ms,
-        total_scheduling_ms=estimate.sched_work_ms,
-        expert_loads=estimate.predicted_loads,
-        expert_switches=estimate.predicted_loads,
-        loads_from_ssd=0,
-        loads_from_cache=0,
-        executors=(),
-        aborted=True,
-        abort_reason=f"{PRUNED_ABORT_PREFIX}: {reason}",
-    )
 
 
 def batch_cells(cells: Sequence[SweepCell], parts: int) -> List[List[SweepCell]]:
@@ -362,24 +333,18 @@ class SweepRunner:
         Escape hatch: run on this pre-built :class:`SweepExecutor`
         instead of constructing one from ``jobs``/``hosts``.
     prune_fraction:
-        Two-stage mode: before simulating, score every still-missing
-        cell with the queueing surrogate and prune this fraction of
-        each (device, task) group — the cells with the *worst* predicted
-        latency at ``prune_percentile``.  Pruned cells receive an
-        aborted placeholder result carrying the prediction; they are
-        never simulated and never cached.  ``0.0`` (the default)
-        disables ranking-based pruning.  Cells with ``pin=True`` are
-        exempt.
-    prune_slo_ms:
-        Two-stage mode, absolute variant: prune any unpinned cell whose
-        predicted latency at ``prune_percentile`` exceeds this target.
-        Composes with ``prune_fraction`` (the SLO cut runs first, the
-        fractional cut applies to what remains) and with per-cell
-        ``slo_target_ms`` overrides (surviving SLO cells still run under
-        their early-abort monitor).
-    prune_percentile:
-        The latency percentile both pruning rules read from the
-        surrogate estimate (default 99, the paper's SLO percentile).
+        One-shot cut: drop this fraction of each (device, task) group,
+        the cells with the worst predicted tail latency.  Shorthand for
+        ``plan=HalvingConfig(rungs=1, keep_fraction=1 - prune_fraction)``;
+        ``0.0`` (the default) leaves ``plan`` in charge.
+    plan:
+        Optional :class:`~repro.sweeps.halving.HalvingConfig` run between
+        the cache preload and the executor: the surrogate scores every
+        still-missing cell, measured rungs (if any) re-rank survivors,
+        and only the finalists are simulated at full fidelity.  Dropped
+        cells receive an aborted placeholder result carrying the
+        prediction; they are never cached.  Cells with ``pin=True`` are
+        never dropped.
     """
 
     def __init__(
@@ -392,8 +357,7 @@ class SweepRunner:
         hosts: Optional[Sequence[str]] = None,
         executor: Optional[SweepExecutor] = None,
         prune_fraction: float = 0.0,
-        prune_slo_ms: Optional[float] = None,
-        prune_percentile: float = 99.0,
+        plan: Optional[HalvingConfig] = None,
     ) -> None:
         if context is not None and settings is None:
             settings = context.settings
@@ -432,15 +396,13 @@ class SweepRunner:
                 "the sweep cache stores request-stripped results and cannot back "
                 "an executor configured with keep_requests"
             )
-        if not 0.0 <= prune_fraction < 1.0:
-            raise ValueError("prune_fraction must be within [0, 1)")
-        if prune_slo_ms is not None and prune_slo_ms <= 0.0:
-            raise ValueError("prune_slo_ms must be positive")
-        if not 0.0 < prune_percentile <= 100.0:
-            raise ValueError("prune_percentile must be within (0, 100]")
-        self.prune_fraction = float(prune_fraction)
-        self.prune_slo_ms = None if prune_slo_ms is None else float(prune_slo_ms)
-        self.prune_percentile = float(prune_percentile)
+        if prune_fraction:
+            if plan is not None:
+                raise ValueError("pass either prune_fraction or a plan, not both")
+            plan = HalvingConfig(rungs=1, keep_fraction=1.0 - prune_fraction)
+        self.plan = plan
+        #: The rung ladder of the most recent planned ``run``/``run_iter``.
+        self.last_schedule: List[RungPlan] = []
         self.cache = cache
         if executor is not None:
             self._executor = executor
@@ -460,13 +422,6 @@ class SweepRunner:
         """The executor this runner drives (picked from jobs/hosts, or given)."""
         return self._executor
 
-    @property
-    def pruning_enabled(self) -> bool:
-        """Whether this runner runs the surrogate stage before simulating."""
-        return self.prune_fraction > 0.0 or self.prune_slo_ms is not None
-
-    # ------------------------------------------------------------------
-    # Two-stage pruning: score cells analytically, simulate survivors.
     # ------------------------------------------------------------------
     def _scoring_context(self) -> EvaluationContext:
         """A context for feature extraction (shared with serial executors).
@@ -485,67 +440,6 @@ class SweepRunner:
                 executor._context = context
         return context
 
-    def _surrogate_pass(
-        self, todo: Sequence[SweepCell], results: SweepResults
-    ) -> Tuple[
-        List[SweepCell],
-        List[Tuple[SweepCell, "CellFeatures", "SurrogateEstimate", str]],
-    ]:
-        """Score ``todo`` and split it into survivors and pruned cells.
-
-        Every scored cell's estimate is recorded on ``results`` (pruned
-        or not); the returned pruned list carries the human-readable
-        reason each cell was cut.  Imported lazily for the same
-        import-cycle reason as :func:`_experiments_base` —
-        ``repro.surrogate`` pulls in the experiments layer.
-        """
-        from repro.surrogate import QueueingSurrogate, extract_features
-
-        context = self._scoring_context()
-        surrogate = QueueingSurrogate()
-        scored = []
-        for cell in todo:
-            features = extract_features(context, cell)
-            estimate = surrogate.estimate(features)
-            results.record_estimate(cell, estimate)
-            scored.append((cell, features, estimate))
-        q = self.prune_percentile
-        pruned: Dict[CellKey, str] = {}
-        if self.prune_slo_ms is not None:
-            for cell, _, estimate in scored:
-                predicted = estimate.latency_ms(q)
-                if not cell.pin and predicted > self.prune_slo_ms:
-                    pruned[cell.key] = (
-                        f"predicted p{q:g} latency {predicted:.0f} ms exceeds "
-                        f"the {self.prune_slo_ms:g} ms target"
-                    )
-        if self.prune_fraction > 0.0:
-            groups: Dict[Tuple[str, str], List[Tuple[SweepCell, float]]] = {}
-            for cell, _, estimate in scored:
-                if cell.pin or cell.key in pruned:
-                    continue
-                groups.setdefault((cell.device, cell.task), []).append(
-                    (cell, estimate.latency_ms(q))
-                )
-            for group in groups.values():
-                count = int(len(group) * self.prune_fraction)
-                if count <= 0:
-                    continue
-                group.sort(key=lambda pair: pair[1], reverse=True)
-                for cell, predicted in group[:count]:
-                    pruned[cell.key] = (
-                        f"predicted p{q:g} latency {predicted:.0f} ms ranks in "
-                        f"the worst {self.prune_fraction:.0%} of its "
-                        "(device, task) group"
-                    )
-        survivors = [cell for cell, _, _ in scored if cell.key not in pruned]
-        placeholders = [
-            (cell, features, estimate, pruned[cell.key])
-            for cell, features, estimate in scored
-            if cell.key in pruned
-        ]
-        return survivors, placeholders
-
     # ------------------------------------------------------------------
     def run(self, grid: SweepGrid, results: Optional[SweepResults] = None) -> SweepResults:
         """Execute every cell of ``grid`` not already present in ``results``."""
@@ -559,28 +453,38 @@ class SweepRunner:
     ) -> Iterator[Tuple[SweepCell, SimulationResult]]:
         """Execute a grid, yielding ``(cell, result)`` as cells complete.
 
-        Cells already present in ``results`` are skipped (not yielded);
-        cache hits are yielded up front, before any simulation starts.
-        Serial runs yield in grid order; parallel and distributed runs
-        yield in completion order.  Every yielded pair has already been
-        added to ``results``, so an abandoned iterator leaves a
-        consistent store containing exactly the cells yielded so far.
-        Duplicate deliveries (a distributed worker died after sending
-        results but before acknowledging its lease, so surviving workers
-        re-executed the cells) are idempotent: the first result for a
-        cell key wins and later copies are neither stored nor yielded.
+        Exactly the cells missing from ``results`` at entry are yielded:
+        cache hits first, then (with a ``plan``) each selection point's
+        dropped-cell placeholders, then simulated rows — in grid order
+        serially, in completion order across processes or hosts.  Every
+        yielded pair has already been added to ``results``, so an
+        abandoned iterator leaves a consistent store containing exactly
+        the cells yielded so far.  Duplicate deliveries (a distributed
+        worker died after sending results but before acknowledging its
+        lease, so surviving workers re-executed the cells) are
+        idempotent: the first result for a cell key wins and later
+        copies are neither stored nor yielded.
 
-        Two-stage runners (``prune_fraction``/``prune_slo_ms``) insert a
-        surrogate stage between cache preload and execution: every
-        still-missing cell is scored analytically, pruned cells yield an
-        aborted placeholder carrying the prediction (marked via
-        :meth:`SweepResults.mark_pruned`, never cached), and only the
-        survivors reach the executor — whose results stay byte-identical
-        to an exhaustive run's.
+        Dropped cells' placeholders are marked via
+        :meth:`SweepResults.mark_pruned` and never cached; the
+        finalists' results stay byte-identical to an exhaustive run's.
         """
         results = results if results is not None else SweepResults()
-        todo = results.missing(grid)
-        repair: set = set()
+        self.last_schedule = []
+        yield from self._pipeline(results.missing(grid), results, self.plan)
+
+    def _pipeline(
+        self,
+        todo: List[SweepCell],
+        results: SweepResults,
+        plan: Optional[HalvingConfig],
+    ) -> Iterator[Tuple[SweepCell, SimulationResult]]:
+        """The one sweep pipeline: cache preload, optional plan, execute.
+
+        Measured rungs of a plan re-enter here, without a plan, for
+        their own reduced-fidelity cells.
+        """
+        repair: Set[CellKey] = set()
         if todo and self.cache is not None:
             remaining: List[SweepCell] = []
             for cell in todo:
@@ -600,31 +504,63 @@ class SweepRunner:
                         repair.add(cell.key)
                     remaining.append(cell)
             todo = remaining
-        if todo and self.pruning_enabled:
-            todo, placeholders = self._surrogate_pass(todo, results)
-            for cell, features, estimate, reason in placeholders:
-                placeholder = _pruned_placeholder(cell, features, estimate, reason)
-                if results.add(cell, placeholder):
-                    results.mark_pruned(cell)
-                    yield cell, placeholder
-        if not todo:
-            return
-        for cell, result in self._executor.run_iter(todo):
-            if results.add(cell, result):
-                # Store unless a (valid-at-preload-time-missing) entry
-                # appeared meanwhile — on a shared-filesystem
-                # distributed sweep the worker just wrote this very
-                # cell, and rewriting identical bytes doubles the cache
-                # I/O of large grids.
-                if self.cache is not None and (
-                    cell.key in repair or not self.cache.has(cell)
-                ):
-                    self.cache.store(cell, result, results.estimate_for(cell))
-                yield cell, result
+
+        def execute(cells: List[SweepCell]) -> Iterator[Tuple[SweepCell, SimulationResult]]:
+            if not cells:
+                return
+            for cell, result in self._executor.run_iter(cells):
+                if results.add(cell, result):
+                    # Store unless a (valid-at-preload-time-missing) entry
+                    # appeared meanwhile — on a shared-filesystem
+                    # distributed sweep the worker just wrote this very
+                    # cell, and rewriting identical bytes doubles the
+                    # cache I/O of large grids.
+                    if self.cache is not None and (
+                        cell.key in repair or not self.cache.has(cell)
+                    ):
+                        self.cache.store(cell, result, results.estimate_for(cell))
+                    yield cell, result
+
+        if todo and plan is not None:
+            yield from climb(self, plan, todo, results, execute)
+        else:
+            yield from execute(todo)
 
     def close(self) -> None:
         """Shut the executor down (idempotent); serial runners hold nothing."""
         self._executor.close()
+
+
+class HalvingRunner(SweepRunner):
+    """A :class:`SweepRunner` planned by a successive-halving ladder.
+
+    ``config`` is the runner's ``plan`` — by default
+    :class:`~repro.sweeps.halving.HalvingConfig`'s two-rung ladder; every
+    other knob is :class:`SweepRunner`'s.  After a run,
+    :attr:`last_schedule` holds the executed
+    :class:`~repro.sweeps.halving.RungPlan` ladder and the results store
+    carries a :class:`~repro.surrogate.validation.DriftReport`.
+    """
+
+    def __init__(
+        self,
+        settings: Optional[EvaluationSettings] = None,
+        jobs: int = 1,
+        context: Optional[EvaluationContext] = None,
+        cache: Optional[SweepCache] = None,
+        hosts: Optional[Sequence[str]] = None,
+        executor: Optional[SweepExecutor] = None,
+        config: Optional[HalvingConfig] = None,
+    ) -> None:
+        super().__init__(
+            settings=settings,
+            jobs=jobs,
+            context=context,
+            cache=cache,
+            hosts=hosts,
+            executor=executor,
+            plan=config if config is not None else HalvingConfig(),
+        )
 
 
 def ensure_results(

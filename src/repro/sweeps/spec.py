@@ -44,9 +44,8 @@ class SweepCell:
     task: str
     overrides: Tuple[Tuple[str, object], ...] = ()
     tags: Tuple[str, ...] = ()
-    #: Exempt from surrogate pruning (see ``SweepRunner``'s
-    #: ``prune_fraction``/``prune_slo_ms``): a pinned cell is always
-    #: fully simulated.  Excluded from identity — a pinned cell and its
+    #: Exempt from a sweep plan's cuts (see ``SweepRunner``'s ``plan``):
+    #: a pinned cell is always fully simulated.  Excluded from identity — a pinned cell and its
     #: unpinned twin are the same simulation.
     pin: bool = False
 

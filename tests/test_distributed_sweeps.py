@@ -148,45 +148,51 @@ class TestLeaseResultBatching:
         for cell, result in pairs:
             assert result == serial_results[cell], f"{cell.label()} diverged"
 
-    def test_coordinator_accepts_legacy_per_cell_results(self, grid, serial_results):
-        """A pre-batching worker streams ``("result", lease_id, cell,
-        result)`` messages; the coordinator must still consume them so a
-        mixed fleet keeps working mid-upgrade."""
+    def test_worker_sending_an_unknown_message_is_dropped(self, grid, serial_results):
+        """A worker answering a lease with a message outside the protocol
+        (here the retired per-cell ``result`` form, carrying a bogus row)
+        is dropped like a dead one: its open lease is re-leased and the
+        sweep completes on the surviving worker with rows equal to a
+        serial run."""
         import threading
-        from collections import deque
         from multiprocessing.connection import Listener
 
-        from repro.sweeps.distributed import _Lease, _SweepState, sweep_authkey
+        from repro.sweeps.distributed import sweep_authkey
 
-        cells = tuple(grid)[:2]
-        pairs = [(cell, serial_results[cell]) for cell in cells]
-        listener = Listener(("127.0.0.1", 0), authkey=sweep_authkey())
+        leased = threading.Event()
 
-        def legacy_worker():
+        def rogue_worker(listener):
             connection = listener.accept()
             try:
                 assert connection.recv()[0] == "hello"
-                connection.send(("ready", "legacy"))
+                connection.send(("ready", "rogue"))
                 message = connection.recv()
                 assert message[0] == "lease"
-                lease_id = message[1]
-                for cell, result in pairs:
-                    connection.send(("result", lease_id, cell, result))
-                connection.send(("lease_done", lease_id))
-                assert connection.recv()[0] == "bye"
+                leased.set()
+                _, lease_id, cells = message
+                bogus = dataclasses.replace(serial_results[cells[0]], makespan_ms=-1.0)
+                connection.send(("result", lease_id, cells[0], bogus))
+                connection.poll(10)  # returns once the coordinator hangs up
+            except (EOFError, OSError):
+                pass
             finally:
                 connection.close()
 
-        thread = threading.Thread(target=legacy_worker, daemon=True)
-        thread.start()
-        host, port = listener.address
-        executor = DistributedExecutor([(host, port)], settings=TINY_SETTINGS)
-        delivered = dict(executor.run_iter(list(cells)))
-        thread.join(10)
-        listener.close()
-        assert len(delivered) == len(cells)
-        for cell in cells:
-            assert delivered[cell] == serial_results[cell]
+        with spawn_local_workers(1) as pool:
+            # Inside the pool: its generated authkey is the one in force.
+            listener = Listener(("127.0.0.1", 0), authkey=sweep_authkey())
+            thread = threading.Thread(target=rogue_worker, args=(listener,), daemon=True)
+            thread.start()
+            try:
+                hosts = [listener.address, *parse_hosts(pool.hosts)]
+                results = SweepRunner(settings=TINY_SETTINGS, hosts=hosts).run(grid)
+            finally:
+                thread.join(10)
+                listener.close()
+        assert leased.is_set(), "the rogue worker never received a lease"
+        assert len(results) == len(grid)
+        for cell in grid:
+            assert results[cell] == serial_results[cell], f"{cell.label()} diverged"
 
 
 class TestWorkerCrash:

@@ -15,6 +15,9 @@ substitute for exhaustive ones:
 4. **Cache hygiene** — dropped-cell placeholders are refused by the
    on-disk cache, while genuinely simulated rows (full- and
    low-fidelity alike) cache and reload normally.
+5. **One selection rule** — every selection point keeps exact counts
+   and breaks ties towards the earlier cell, and a one-shot
+   ``prune_fraction`` cut is the one-rung ladder on every backend.
 """
 
 import pickle
@@ -33,6 +36,7 @@ from repro.sweeps import (
     SweepGrid,
     SweepRunner,
 )
+from repro.sweeps.halving import select_survivors
 from repro.sweeps.worker import spawn_local_workers
 
 TINY_SETTINGS = EvaluationSettings(
@@ -93,6 +97,8 @@ class TestConfig:
             HalvingConfig(min_requests=0)
         with pytest.raises(ValueError, match="percentile"):
             HalvingConfig(percentile=0.0)
+        with pytest.raises(ValueError, match="slo_ms"):
+            HalvingConfig(slo_ms=0.0)
 
     def test_request_counts_escalate_geometrically(self):
         config = HalvingConfig(rungs=3, min_requests=100)
@@ -308,6 +314,109 @@ class TestCacheHygiene:
                 assert pickle.dumps(second[cell]) == pickle.dumps(first[cell])
 
 
+class TestSelection:
+    @staticmethod
+    def _cells(count):
+        return [SweepCell.make("coserve", "numa", "A1", variant=i) for i in range(count)]
+
+    def test_keep_counts_are_exact(self):
+        cells = self._cells(25)
+        scores = {cell.key: float(i) for i, cell in enumerate(cells)}
+        kept, dropped = select_survivors(cells, scores, keep_fraction=0.28)
+        assert len(kept) == 7  # 25 * 0.28 is 7.000000000000001 in floats
+        assert len(dropped) == 18
+
+    def test_prune_fraction_drops_exact_counts(self):
+        cells = self._cells(100)
+        scores = {cell.key: float(i) for i, cell in enumerate(cells)}
+        plan = SweepRunner(settings=TINY_SETTINGS, prune_fraction=0.29).plan
+        assert plan == HalvingConfig(rungs=1, keep_fraction=1.0 - 0.29)
+        kept, dropped = select_survivors(cells, scores, plan.keep_fraction)
+        assert len(dropped) == 29  # 100 * 0.29 is 28.999999999999996 in floats
+        assert dropped == cells[71:]
+
+    def test_limit_cuts_first_and_pins_always_survive(self):
+        cells = self._cells(6)
+        cells[5] = cells[5].pinned()
+        scores = {cell.key: float(i) for i, cell in enumerate(cells)}
+        kept, dropped = select_survivors(cells, scores, keep_fraction=0.5, limit=3.0)
+        # Cells 4 and 5 score above the limit; of the four left, ceil(4 * 0.5)
+        # = 2 are kept, plus the pinned cell 5 despite its score.
+        assert kept == [cells[0], cells[1], cells[5]]
+        assert dropped == [cells[2], cells[3], cells[4]]
+
+
+#: Three systems, each next to an SLO twin the surrogate cannot tell
+#: apart (SLO overrides never reach the features): three exact score
+#: ties, one of which a keep-half cut of the six cells must split.
+_TIED_GRID = SweepGrid(
+    tuple(
+        cell
+        for system in ("coserve", "samba-coe", "coserve-none")
+        for cell in (
+            SweepCell.make(system, "numa", "A1"),
+            SweepCell.make(system, "numa", "A1", slo_target_ms=1e9),
+        )
+    )
+)
+
+
+class TestOneShotIsOneRung:
+    @staticmethod
+    def _runners(**backend):
+        return [
+            SweepRunner(settings=TINY_SETTINGS, prune_fraction=0.5, **backend),
+            HalvingRunner(
+                settings=TINY_SETTINGS,
+                config=HalvingConfig(rungs=1, keep_fraction=1 - 0.5),
+                **backend,
+            ),
+        ]
+
+    def _run_everywhere(self):
+        runs = []
+        for backend in ({}, {"jobs": 2}):
+            for runner in self._runners(**backend):
+                try:
+                    runs.append(runner.run(_TIED_GRID))
+                finally:
+                    runner.close()
+        with spawn_local_workers(2) as pool:
+            for runner in self._runners(hosts=pool.hosts):
+                try:
+                    runs.append(runner.run(_TIED_GRID))
+                finally:
+                    runner.close()
+        return runs
+
+    def test_same_cut_and_rows_on_every_backend(self):
+        first, *others = self._run_everywhere()
+        pruned = set(first.pruned_keys())
+        assert len(pruned) == 3
+        # The cut splits at least one tied pair and keeps its earlier cell.
+        cells = _TIED_GRID.cells
+        split = [
+            (plain, twin)
+            for plain, twin in zip(cells[::2], cells[1::2])
+            if first.is_pruned(plain) != first.is_pruned(twin)
+        ]
+        assert split
+        for plain, twin in split:
+            assert first.estimate_for(plain) == first.estimate_for(twin)
+            assert not first.is_pruned(plain) and first.is_pruned(twin)
+        for results in others:
+            assert set(results.pruned_keys()) == pruned
+            for cell in _TIED_GRID:
+                assert pickle.dumps(results[cell]) == pickle.dumps(first[cell])
+
+    def test_one_shot_leaves_a_one_rung_drift_report(self, context):
+        runner = SweepRunner(context=context, prune_fraction=0.5)
+        results = runner.run(_TIED_GRID)
+        assert [plan.rung for plan in runner.last_schedule] == [0, 1]
+        assert [rung.rung for rung in results.drift_report.rungs] == [1]
+        assert results.drift_report.rungs[0].cell_count == 3
+
+
 class TestExperimentsCLI:
     def test_run_experiments_attaches_drift_report(self):
         from repro.experiments.cli import run_experiments
@@ -323,7 +432,7 @@ class TestExperimentsCLI:
         outcomes = run_experiments(
             ["figure13"],
             settings,
-            halving=HalvingConfig(rungs=2, keep_fraction=0.5, min_requests=40),
+            plan=HalvingConfig(rungs=2, keep_fraction=0.5, min_requests=40),
             results=store,
         )
         assert outcomes and outcomes[0][1].rows
@@ -335,7 +444,7 @@ class TestExperimentsCLI:
         "argv",
         [
             ["figure13", "--halving-rungs", "2", "--prune-fraction", "0.5"],
-            ["figure13", "--halving-rungs", "2", "--prune-slo-ms", "100"],
+            ["figure13", "--halving-rungs", "2", "--prune-slo-ms", "0"],
             ["figure13", "--halving-rungs", "0"],
             ["figure13", "--halving-rungs", "2", "--halving-keep-fraction", "1.5"],
             ["figure13", "--halving-rungs", "2", "--halving-min-requests", "0"],

@@ -509,6 +509,9 @@ class TestDocstringRule:
                 """Documented."""
             def _private():
                 return 1
+            class _Internal:
+                def method(self):
+                    return 1
             ''',
         )
         assert found == []

@@ -26,6 +26,7 @@ from repro.surrogate import (
 )
 from repro.sweeps import (
     PRUNED_ABORT_PREFIX,
+    HalvingConfig,
     SweepCache,
     SweepCell,
     SweepGrid,
@@ -217,7 +218,8 @@ class TestPruning:
     def test_pinned_cells_are_exempt(self):
         grid = _prune_grid(pin_first=True)
         runner = SweepRunner(
-            settings=TINY_SETTINGS, prune_slo_ms=0.001, prune_fraction=0.5
+            settings=TINY_SETTINGS,
+            plan=HalvingConfig(rungs=1, keep_fraction=0.5, slo_ms=0.001),
         )
         results = runner.run(grid)
         pinned = grid.cells[0]
@@ -229,7 +231,10 @@ class TestPruning:
 
     def test_slo_prune_with_generous_target_prunes_nothing(self):
         grid = _prune_grid()
-        results = SweepRunner(settings=TINY_SETTINGS, prune_slo_ms=1e12).run(grid)
+        results = SweepRunner(
+            settings=TINY_SETTINGS,
+            plan=HalvingConfig(rungs=1, keep_fraction=1.0, slo_ms=1e12),
+        ).run(grid)
         assert results.pruned_keys() == []
         for cell in grid:
             assert not results[cell].aborted
@@ -279,12 +284,14 @@ class TestPruning:
                 assert restored == first.estimate_for(cell)
 
     def test_runner_rejects_bad_prune_knobs(self):
-        with pytest.raises(ValueError, match="prune_fraction"):
+        with pytest.raises(ValueError, match="keep_fraction"):
             SweepRunner(settings=TINY_SETTINGS, prune_fraction=1.0)
-        with pytest.raises(ValueError, match="prune_slo_ms"):
-            SweepRunner(settings=TINY_SETTINGS, prune_slo_ms=-5.0)
-        with pytest.raises(ValueError, match="prune_percentile"):
-            SweepRunner(settings=TINY_SETTINGS, prune_percentile=0.0)
+        with pytest.raises(ValueError, match="slo_ms"):
+            SweepRunner(settings=TINY_SETTINGS, plan=HalvingConfig(rungs=1, slo_ms=-5.0))
+        with pytest.raises(ValueError, match="percentile"):
+            SweepRunner(settings=TINY_SETTINGS, plan=HalvingConfig(rungs=1, percentile=0.0))
+        with pytest.raises(ValueError, match="either prune_fraction or a plan"):
+            SweepRunner(settings=TINY_SETTINGS, prune_fraction=0.5, plan=HalvingConfig())
 
     def test_grid_union_keeps_any_requesters_pin(self):
         cell = SweepCell.make("coserve", "numa", "A1")

@@ -11,11 +11,12 @@ remaining wall time go.  Three modes:
 * ``preredesign`` — the preserved pre-PR pipeline (scalar reference
   generation + heap-seeded monolithic loop) for before/after diffs;
 * ``sweep`` — a serial multi-system sweep over one (device, task)
-  pair, optionally two-stage (``--prune-fraction``) or guided through
-  the successive-halving ladder (``--halving-rungs`` /
-  ``--halving-keep-fraction``), so the split between surrogate
-  scoring, shared profiling, low-fidelity rungs, and per-cell
-  simulation shows up in one stats table.
+  pair, optionally planned: a one-shot surrogate cut
+  (``--prune-fraction``) or a successive-halving ladder
+  (``--halving-rungs`` / ``--halving-keep-fraction``), both run by the
+  same planner, so the split between surrogate scoring, shared
+  profiling, low-fidelity rungs, and per-cell simulation shows up in
+  one stats table.
 
 Usage::
 
@@ -129,7 +130,7 @@ def _run_sweep(
     halving_keep_fraction: float = 0.5,
 ) -> None:
     from repro.experiments.base import EvaluationSettings
-    from repro.sweeps import HalvingConfig, HalvingRunner, SweepCell, SweepGrid, SweepRunner
+    from repro.sweeps import HalvingConfig, SweepCell, SweepGrid, SweepRunner
 
     settings = EvaluationSettings(
         full_scale=False,
@@ -143,16 +144,15 @@ def _run_sweep(
             for system in _SWEEP_SYSTEMS
         )
     )
+    plan = None
     if halving_rungs is not None:
-        config = HalvingConfig(
+        plan = HalvingConfig(
             rungs=halving_rungs,
             keep_fraction=halving_keep_fraction,
             # Keep the cheap rungs cheap relative to the clamped count.
             min_requests=max(1, num_requests // 10),
         )
-        HalvingRunner(settings=settings, config=config).run(grid)
-    else:
-        SweepRunner(settings=settings, prune_fraction=prune_fraction).run(grid)
+    SweepRunner(settings=settings, prune_fraction=prune_fraction, plan=plan).run(grid)
 
 
 def main(argv=None) -> int:
