@@ -13,10 +13,12 @@ the wall time and, via the returned result, the effect on throughput.
 import pytest
 
 from repro.simulation.engine import SimulationOptions
+from repro.sweeps import SweepCell, execute_cell
 
 
 def _serve(context, **overrides):
-    return context.serve("coserve-best", "numa", "A1", **overrides)
+    cell = SweepCell.make("coserve-best", "numa", "A1", **overrides)
+    return execute_cell(context, cell, keep_requests=True)
 
 
 def test_bench_shared_pool_per_processor(benchmark, context):

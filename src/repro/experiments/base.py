@@ -16,7 +16,6 @@ from repro.hardware.device import Device
 from repro.hardware.presets import make_device
 from repro.metrics.report import format_table
 from repro.serving.base import ServingSystem
-from repro.simulation.results import SimulationResult
 from repro.workload.circuit_board import CircuitBoard
 from repro.workload.generator import RequestStream
 from repro.workload.tasks import Task, standard_tasks
@@ -171,31 +170,6 @@ class EvaluationContext:
             profiler = OfflineProfiler(self.device(architecture), model)
             self._matrices[key] = profiler.build_performance_matrix()
         return self._matrices[key]
-
-    # ------------------------------------------------------------------
-    # Serving runs
-    # ------------------------------------------------------------------
-    def serve(
-        self,
-        system_name: str,
-        device_architecture: str,
-        task_name: str,
-        **overrides,
-    ) -> SimulationResult:
-        """Serve one task with one system on one device.
-
-        Compatibility shim: experiment code now declares
-        :class:`~repro.sweeps.SweepGrid` objects and reads results back
-        from a :class:`~repro.sweeps.SweepResults` store, but ad-hoc
-        callers can still serve a single cell here.  The call is backed
-        by a one-cell sweep on this context, so it behaves exactly like
-        a grid entry (imported lazily — sweeps depends on this module).
-        """
-        from repro.sweeps import SweepCell, SweepGrid, SweepRunner
-
-        cell = SweepCell.make(system_name, device_architecture, task_name, **overrides)
-        runner = SweepRunner(context=self, keep_requests=True)
-        return runner.run(SweepGrid.single(cell))[cell]
 
 
 #: Systems compared in Figures 13 and 14, in the paper's plotting order.

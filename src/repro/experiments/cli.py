@@ -54,7 +54,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments import EXPERIMENT_GRIDS, EXPERIMENTS
 from repro.experiments.base import EvaluationContext, EvaluationSettings, ExperimentResult
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--halving-keep-fraction",
         type=float,
-        default=0.5,
+        default=None,
         metavar="F",
         help="Fraction of each (device, task) group's unpinned cells kept at "
         "every halving selection point (default: 0.5). Requires "
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--halving-min-requests",
         type=int,
-        default=150,
+        default=None,
         metavar="K",
         help="Request count of the cheapest halving rung; later rungs "
         "escalate geometrically toward the full count (default: 150). "
@@ -351,24 +351,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "--halving-rungs and --prune-fraction are mutually exclusive: the "
             "ladder's rung-0 surrogate cut is the one-shot cut"
         )
-    # Both flag families build one plan: a one-shot cut is a one-rung ladder.
-    if arguments.halving_rungs is None:
-        rungs, keep_fraction = 1, 1.0 - arguments.prune_fraction
-    else:
-        rungs, keep_fraction = arguments.halving_rungs, arguments.halving_keep_fraction
-    plan: Optional[HalvingConfig] = None
-    if (
-        arguments.halving_rungs is not None
-        or keep_fraction < 1.0
-        or arguments.prune_slo_ms is not None
+    # Both flag families build one plan: a one-shot cut is a one-rung
+    # ladder, and ladder flags left out fall back to HalvingConfig's
+    # defaults.
+    one_shot_keep = 1.0 - arguments.prune_fraction
+    ladder: Optional[Dict[str, float]] = None
+    if arguments.halving_rungs is not None:
+        ladder = {
+            name: value
+            for name, value in (
+                ("rungs", arguments.halving_rungs),
+                ("keep_fraction", arguments.halving_keep_fraction),
+                ("min_requests", arguments.halving_min_requests),
+            )
+            if value is not None
+        }
+    elif (
+        arguments.halving_keep_fraction is not None
+        or arguments.halving_min_requests is not None
     ):
+        parser.error("--halving-keep-fraction and --halving-min-requests require --halving-rungs")
+    elif one_shot_keep < 1.0 or arguments.prune_slo_ms is not None:
+        ladder = {"rungs": 1, "keep_fraction": one_shot_keep}
+    plan: Optional[HalvingConfig] = None
+    if ladder is not None:
         try:
             plan = HalvingConfig(
-                rungs=rungs,
-                keep_fraction=keep_fraction,
-                min_requests=arguments.halving_min_requests,
                 percentile=arguments.prune_percentile,
                 slo_ms=arguments.prune_slo_ms,
+                **ladder,
             )
         except ValueError as exc:
             parser.error(f"invalid sweep plan: {exc}")

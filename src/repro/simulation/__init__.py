@@ -16,7 +16,9 @@ The primary serving API is the steppable :class:`SimulationSession`:
 ``step()`` / ``run_until()`` / ``events()`` advance a configured
 :class:`ServingSimulation` through one request stream while typed
 :class:`SimEvent` hooks (:class:`SimObserver`) feed metric collection,
-timeline recording, SLO monitoring and custom scenarios.
+timeline recording, SLO monitoring and custom scenarios.  ``step()``,
+``run_until()`` and ``run()`` all drive the session's one event loop,
+bounded by a deadline or by a single event.
 ``ServingSimulation.run()`` remains as a compatibility shim that drives
 a session with the built-in metrics observer.
 """

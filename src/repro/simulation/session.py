@@ -51,6 +51,15 @@ Tie-breaks are bit-identical to the former all-in-heap core: events
 ordered by ``(time, kind, sequence)`` with arrivals carrying the
 stream-order sequence numbers ``0..N-1`` and every live event numbered
 from ``N`` upward, exactly as when construction seeded the heap.
+
+One event loop
+--------------
+
+``step``, ``run_until`` and ``run`` are thin wrappers over one private
+drain loop that takes a deadline and a stop-after-one flag.  That loop
+alone holds the arrival-vs-heap tie-break (only a same-time FINISH
+precedes an arrival), the sorted-arrival check, abort and
+finalise-on-drain.
 """
 
 from __future__ import annotations
@@ -276,6 +285,9 @@ _EMPTY_FROZENSET: frozenset = frozenset()
 #: Module-local alias: the handlers push an event per job/batch, and
 #: the attribute hop through the module object is measurable there.
 _heappush = heapq.heappush
+
+#: Deadline of ``step()`` and ``run()``: no event time lies past it.
+_NO_DEADLINE = float("inf")
 
 
 class SimulationSession:
@@ -555,13 +567,9 @@ class SimulationSession:
         if self._finished:
             raise SimulationError("cannot add observers to a finished session")
         self._observers.append(observer)
-        cls = type(observer)
-        for hook_name, list_name in _HOOK_LISTS:
-            implementation = getattr(cls, hook_name, None)
-            if implementation is None or implementation is getattr(SimObserver, hook_name):
-                continue
-            getattr(self, list_name).append(getattr(observer, hook_name))
-        on_attach = getattr(cls, "on_attach", None)
+        for hooks, bound in self._overridden_hooks(observer):
+            hooks.append(bound)
+        on_attach = getattr(type(observer), "on_attach", None)
         if on_attach is not None and on_attach is not SimObserver.on_attach:
             observer.on_attach(self)
 
@@ -570,35 +578,18 @@ class SimulationSession:
         if observer not in self._observers:
             return
         self._observers.remove(observer)
+        for hooks, bound in self._overridden_hooks(observer):
+            if bound in hooks:
+                hooks.remove(bound)
+
+    def _overridden_hooks(self, observer: object) -> Iterator[Tuple[List[Callable], Callable]]:
+        """(dispatch list, bound hook) for every hook ``observer`` overrides."""
         cls = type(observer)
         for hook_name, list_name in _HOOK_LISTS:
             implementation = getattr(cls, hook_name, None)
             if implementation is None or implementation is getattr(SimObserver, hook_name):
                 continue
-            hooks = getattr(self, list_name)
-            bound = getattr(observer, hook_name)
-            if bound in hooks:
-                hooks.remove(bound)
-
-    def _advance_cursor(self, consumed_arrival_ms: float) -> Optional["RequestSpec"]:
-        """Pull the next spec, enforcing the sorted-arrivals contract.
-
-        The cursor's correctness rests on arrival-sorted specs.  Eager
-        ``RequestStream``\\ s validate this at construction and the
-        generator emits sorted arrivals by construction, but a custom
-        ``LazyRequestStream`` spec factory could yield anything — and an
-        out-of-order arrival would silently corrupt the simulation
-        (virtual time jumping backwards) rather than fail.  One float
-        compare per arrival buys the loud error.
-        """
-        spec = next(self._spec_iter, None)
-        if spec is not None and spec.arrival_ms < consumed_arrival_ms:
-            raise SimulationError(
-                f"request stream is not sorted by arrival time: request "
-                f"{spec.request_id} arrives at {spec.arrival_ms} ms after one "
-                f"at {consumed_arrival_ms} ms"
-            )
-        return spec
+            yield getattr(self, list_name), getattr(observer, hook_name)
 
     def abort(self, reason: str) -> None:
         """Request an early stop; the session finishes on the next step.
@@ -624,56 +615,7 @@ class SimulationSession:
         session — emitting ``on_finish`` and building the result — and
         returns False.
         """
-        if self._finished:
-            return False
-        if self._abort_reason is not None:
-            self._finalize()
-            return False
-        events = self._events
-        spec = self._next_spec
-        if spec is not None:
-            # The cursor wins ties against same-time JOB/DISPATCH heap
-            # events: arrivals carry the stream-order sequence numbers
-            # 0..N-1, below every live event's (numbered from N), so
-            # the original (time, kind, sequence) ordering is
-            # reproduced exactly.  Only a FINISH (kind 0) at the same
-            # instant precedes an arrival.
-            head = events[0] if events else None
-            if (
-                head is None
-                or spec.arrival_ms < head[0]
-                or (spec.arrival_ms == head[0] and head[1] != _EVENT_FINISH)
-            ):
-                now = spec.arrival_ms
-                self.now_ms = now
-                request = SimRequest(spec)
-                if self._inflight is None:
-                    self.requests.append(request)
-                else:
-                    self._inflight[spec.request_id] = request
-                self._arrivals_consumed += 1
-                self._next_spec = self._advance_cursor(now)
-                self._handle_job(StageJob(request, 0, spec.realized_pipeline[0], now), now)
-                return True
-        elif not events:
-            self._finalize()
-            return False
-        event = heapq.heappop(events)
-        now = event[0]
-        kind = event[1]
-        self.now_ms = now
-        if kind == _EVENT_JOB:
-            self._handle_job(event[3], now)
-        elif kind == _EVENT_DISPATCH:
-            self._dispatch(event[3], now)
-        elif kind == _EVENT_FINISH:
-            # (end, kind, seq, executor, batch, dispatch_ms, start_ms, switch_wait)
-            self._handle_finish(event[3], event[4], event[5], event[6], now, event[7])
-            if now > self._last_completion_ms:
-                self._last_completion_ms = now
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown event kind {kind}")
-        return True
+        return self._drain(_NO_DEADLINE, True) > 0
 
     def run_until(self, time_ms: float) -> int:
         """Process every event up to and including virtual time ``time_ms``.
@@ -682,19 +624,7 @@ class SimulationSession:
         drains (or an observer aborts) before the deadline, the session
         finalises exactly as :meth:`run` would.
         """
-        count = 0
-        while not self._finished and self._abort_reason is None:
-            next_time = self.next_event_time_ms
-            if next_time is None or next_time > time_ms:
-                break
-            self.step()
-            count += 1
-        if not self._finished and (
-            self._abort_reason is not None
-            or (not self._events and self._next_spec is None)
-        ):
-            self._finalize()
-        return count
+        return self._drain(time_ms, False)
 
     def events(self) -> Iterator[SimEvent]:
         """Iterate over typed events as the simulation advances.
@@ -724,13 +654,27 @@ class SimulationSession:
     def run(self) -> "SimulationResult":
         """Drain the session and return the result (the legacy contract).
 
-        This is a tight copy of the :meth:`step` loop with the hot
-        references (event heap, arrival cursor, handlers) bound once:
-        run-to-completion is the million-request path, and per-event
-        method dispatch and attribute reloads are measurable at that
-        scale.  Any semantic change here must be mirrored in
-        :meth:`step` (and vice versa) — the equivalence suite pins both
-        to identical results.
+        Raises :class:`SimulationAborted` if an observer aborted the run.
+        """
+        self._drain(_NO_DEADLINE, False)
+        if self._aborted:
+            raise SimulationAborted(
+                self._abort_reason or "aborted", self.now_ms, self.completed_requests
+            )
+        return self.result
+
+    def _drain(self, deadline: float, single: bool) -> int:
+        """The session's one event loop; returns the events it processed.
+
+        Processes engine events in ``(time, kind, sequence)`` order while
+        the next one is due at or before ``deadline`` (stopping after the
+        first when ``single``), and finalises the session once the stream
+        and the heap are drained or an observer has aborted.  Stopping at
+        the deadline or after one event leaves the session paused.
+
+        The hot references (event heap, arrival cursor, handlers) are
+        bound once per call: draining is the million-request path, and
+        per-event attribute reloads are measurable at that scale.
         """
         events = self._events
         heappop = heapq.heappop
@@ -742,16 +686,20 @@ class SimulationSession:
         spec_iter = self._spec_iter
         make_request = SimRequest
         make_job = StageJob
+        processed = 0
         while not self._finished and self._abort_reason is None:
             spec = self._next_spec
             if spec is not None:
-                # Same tie-break as step(): only a same-time FINISH
-                # precedes an arrival (arrivals own sequences 0..N-1).
-                # Consecutive arrivals are admitted in one inner loop:
-                # the heap head only changes when _handle_job pushes a
-                # DISPATCH, which a length check detects, so the common
-                # several-arrivals-before-the-next-heap-event stretch
-                # re-reads the head only when it actually moved.
+                # The cursor wins ties against same-time JOB/DISPATCH
+                # heap events: arrivals carry the stream-order sequence
+                # numbers 0..N-1, below every live event's (numbered from
+                # N), so the original (time, kind, sequence) ordering is
+                # reproduced exactly.  Only a FINISH (kind 0) at the same
+                # instant precedes an arrival.  Consecutive arrivals are
+                # admitted in one inner loop: the heap head only changes
+                # when _handle_job pushes a DISPATCH, which a length
+                # check detects, so the head is re-read only when it
+                # actually moved.
                 heap_length = len(events)
                 if heap_length:
                     head = events[0]
@@ -760,13 +708,14 @@ class SimulationSession:
                 else:
                     head_time = None
                     head_is_finish = False
-                admitted = False
                 while (
                     head_time is None
                     or spec.arrival_ms < head_time
                     or (spec.arrival_ms == head_time and not head_is_finish)
                 ):
                     arrival_ms = spec.arrival_ms
+                    if arrival_ms > deadline:
+                        return processed
                     self.now_ms = arrival_ms
                     request = make_request(spec)
                     if inflight is None:
@@ -774,7 +723,11 @@ class SimulationSession:
                     else:
                         inflight[spec.request_id] = request
                     self._arrivals_consumed += 1
-                    # _advance_cursor, inlined (this runs per arrival).
+                    # The cursor's correctness rests on arrival-sorted
+                    # specs.  A custom LazyRequestStream spec factory
+                    # could yield anything, and an out-of-order arrival
+                    # would silently send virtual time backwards; one
+                    # float compare per arrival buys the loud error.
                     next_spec = next(spec_iter, None)
                     if next_spec is not None and next_spec.arrival_ms < arrival_ms:
                         raise SimulationError(
@@ -787,7 +740,9 @@ class SimulationSession:
                         make_job(request, 0, spec.realized_pipeline[0], arrival_ms),
                         arrival_ms,
                     )
-                    admitted = True
+                    processed += 1
+                    if single:
+                        return processed
                     spec = next_spec
                     if spec is None or self._abort_reason is not None:
                         break
@@ -796,15 +751,17 @@ class SimulationSession:
                         head = events[0]
                         head_time = head[0]
                         head_is_finish = head[1] == _EVENT_FINISH
-                if admitted:
+                if spec is None or self._abort_reason is not None:
                     continue
-                # The heap head precedes the next arrival; fall through
-                # to process it (the admission loop guarantees the heap
-                # is non-empty here).
+                # The heap head precedes the next arrival (so the heap is
+                # non-empty): fall through to process it.
             elif not events:
                 break
-            event = heappop(events)
+            event = events[0]
             now = event[0]
+            if now > deadline:
+                return processed
+            heappop(events)
             kind = event[1]
             self.now_ms = now
             if kind == _EVENT_FINISH:
@@ -819,12 +776,11 @@ class SimulationSession:
                 dispatch(event[3], now)
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown event kind {kind}")
+            processed += 1
+            if single:
+                return processed
         self._finalize()
-        if self._aborted:
-            raise SimulationAborted(
-                self._abort_reason or "aborted", self.now_ms, self.completed_requests
-            )
-        return self.result
+        return processed
 
     def _finalize(self) -> None:
         if self._finished:

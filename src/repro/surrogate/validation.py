@@ -60,6 +60,22 @@ def spearman_rank_correlation(xs: Sequence[float], ys: Sequence[float]) -> float
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
+def _agreement(measured: Sequence[float], predicted: Sequence[float]) -> Tuple[float, float, float]:
+    """Spearman rho plus median and max relative error of ``predicted``.
+
+    Relative errors are ``|predicted − measured| / measured``; a
+    non-positive measurement contributes none (there is no meaningful
+    relative error against zero), and with none left both read 0.
+    Spearman is computed over every pair.
+    """
+    errors = [abs(p - m) / m for m, p in zip(measured, predicted) if m > 0.0] or [0.0]
+    return (
+        spearman_rank_correlation(measured, predicted),
+        float(np.median(errors)),
+        float(max(errors)),
+    )
+
+
 @dataclass(frozen=True)
 class RungDrift:
     """Predicted-vs-measured agreement on one halving rung's rows.
@@ -143,30 +159,27 @@ def rung_drift(
 ) -> RungDrift:
     """Summarise one rung's (estimate, measured result) pairs.
 
-    Pairs whose measured makespan is non-positive contribute nothing to
-    the error quantiles (there is no meaningful relative error against
-    zero); Spearman is computed over every pair.
+    Pairs with a non-positive measurement contribute nothing to that
+    metric's error quantiles (see :func:`_agreement`).
     """
-    pred_mk = [estimate.makespan_ms for estimate, _ in pairs]
-    meas_mk = [result.makespan_ms for _, result in pairs]
-    pred_thr = [estimate.throughput_rps for estimate, _ in pairs]
-    meas_thr = [result.throughput_rps for _, result in pairs]
-
-    def errors(pred: Sequence[float], meas: Sequence[float]) -> List[float]:
-        return [abs(p - m) / m for p, m in zip(pred, meas) if m > 0.0]
-
-    mk_errors = errors(pred_mk, meas_mk) or [0.0]
-    thr_errors = errors(pred_thr, meas_thr) or [0.0]
+    mk_rho, mk_median, mk_max = _agreement(
+        [result.makespan_ms for _, result in pairs],
+        [estimate.makespan_ms for estimate, _ in pairs],
+    )
+    thr_rho, thr_median, thr_max = _agreement(
+        [result.throughput_rps for _, result in pairs],
+        [estimate.throughput_rps for estimate, _ in pairs],
+    )
     return RungDrift(
         rung=rung,
         num_requests=num_requests,
         cell_count=len(pairs),
-        makespan_spearman=spearman_rank_correlation(meas_mk, pred_mk),
-        throughput_spearman=spearman_rank_correlation(meas_thr, pred_thr),
-        median_makespan_error=float(np.median(mk_errors)),
-        max_makespan_error=float(max(mk_errors)),
-        median_throughput_error=float(np.median(thr_errors)),
-        max_throughput_error=float(max(thr_errors)),
+        makespan_spearman=mk_rho,
+        throughput_spearman=thr_rho,
+        median_makespan_error=mk_median,
+        max_makespan_error=mk_max,
+        median_throughput_error=thr_median,
+        max_throughput_error=thr_max,
         recalibrated=recalibrated,
     )
 
@@ -258,28 +271,24 @@ def validate_grid(
                 estimate=estimate,
             )
         )
-    sim_thr = [c.simulated_throughput_rps for c in cells]
-    pred_thr = [c.predicted_throughput_rps for c in cells]
-    sim_lat = [c.simulated_latency_ms for c in cells]
-    pred_lat = [c.predicted_latency_ms for c in cells]
-
-    def errors(sim: Sequence[float], pred: Sequence[float]) -> List[float]:
-        return [
-            abs(p - s) / s for s, p in zip(sim, pred) if s > 0.0
-        ]
-
-    thr_errors = errors(sim_thr, pred_thr) or [0.0]
-    lat_errors = errors(sim_lat, pred_lat) or [0.0]
+    thr_rho, thr_median, thr_max = _agreement(
+        [c.simulated_throughput_rps for c in cells],
+        [c.predicted_throughput_rps for c in cells],
+    )
+    lat_rho, lat_median, lat_max = _agreement(
+        [c.simulated_latency_ms for c in cells],
+        [c.predicted_latency_ms for c in cells],
+    )
     return GridValidationReport(
         name=name,
         percentile=percentile,
         cells=tuple(cells),
-        throughput_spearman=spearman_rank_correlation(sim_thr, pred_thr),
-        latency_spearman=spearman_rank_correlation(sim_lat, pred_lat),
-        median_throughput_error=float(np.median(thr_errors)),
-        median_latency_error=float(np.median(lat_errors)),
-        max_throughput_error=float(max(thr_errors)),
-        max_latency_error=float(max(lat_errors)),
+        throughput_spearman=thr_rho,
+        latency_spearman=lat_rho,
+        median_throughput_error=thr_median,
+        median_latency_error=lat_median,
+        max_throughput_error=thr_max,
+        max_latency_error=lat_max,
     )
 
 

@@ -96,9 +96,9 @@ def execute_cell(
 ) -> SimulationResult:
     """Run one sweep cell on an evaluation context.
 
-    This is the single serving primitive behind every executor and the
-    ``EvaluationContext.serve`` compatibility shim.  Per-request records
-    are dropped unless ``keep_requests`` — figures aggregate whole-run
+    This is the single serving primitive behind every executor, and
+    the call for serving one cell ad hoc.  Per-request records are
+    dropped unless ``keep_requests`` — figures aggregate whole-run
     metrics, and dropping them keeps results cheap to pickle back from
     worker processes (local or remote).
 

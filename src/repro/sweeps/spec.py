@@ -143,7 +143,7 @@ class SweepGrid:
 
     @classmethod
     def single(cls, cell: SweepCell) -> "SweepGrid":
-        """A one-cell grid (how compatibility shims wrap a lone serve)."""
+        """A one-cell grid (a lone cell through the full sweep pipeline)."""
         return cls((cell,))
 
     @classmethod

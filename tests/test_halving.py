@@ -55,6 +55,10 @@ _SYSTEMS = (
     "coserve-em",
 )
 
+#: CLI arguments that keep a command which wrongly runs (instead of
+#: exiting with a usage error) cheap.
+SMALL_RUN = ("--requests", "50", "--devices", "numa", "--tasks", "A1")
+
 #: Two simulated rungs with a cheap 40-request first rung: rung 0 keeps
 #: ceil(5 * 0.5) = 3 unpinned + 1 pinned, rung 1 keeps ceil(3 * 0.5) = 2
 #: unpinned + 1 pinned, so the final rung simulates 3 of 6 cells.
@@ -450,6 +454,11 @@ class TestExperimentsCLI:
             ["figure13", "--halving-rungs", "2", "--halving-min-requests", "0"],
             ["figure13", "--prune-percentile", "0"],
             ["figure13", "--prune-percentile", "101"],
+            # ladder flags without a ladder are usage errors, not ignored
+            # (or validated against a plan that never reads them)
+            ["figure13", "--halving-keep-fraction", "0.3", *SMALL_RUN],
+            ["figure13", "--halving-min-requests", "40", *SMALL_RUN],
+            ["figure13", "--prune-fraction", "0.5", "--halving-min-requests", "0", *SMALL_RUN],
         ],
     )
     def test_cli_rejects_invalid_flag_combinations(self, argv):

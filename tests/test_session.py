@@ -5,10 +5,12 @@ The session is the engine's primary interface; the legacy
 stepping semantics (``step`` / ``run_until`` / ``events``), the
 observer hook surface (dispatch only for overridden hooks, structural
 observers, mid-run attachment), and the early-abort path the SLO
-monitor drives.
+monitor drives, plus a property over random interleavings of the
+three drives, which all run the session's one event loop.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hardware.units import GB
 from repro.hardware.processor import ProcessorKind
@@ -32,6 +34,8 @@ from repro.simulation import (
 )
 from repro.simulation.engine import ServingSimulation, SimulationOptions
 from repro.simulation.executor import ExecutorConfig
+from repro.simulation.reference import preredesign_run
+from repro.workload.generator import RequestStream, generate_request_stream
 
 
 def make_simulation(device, model, **kwargs):
@@ -357,6 +361,49 @@ class TestAbort:
         with pytest.raises(SimulationError):
             session.result
 
+    @pytest.mark.parametrize("kind", ["arrival", "completion"])
+    def test_abort_point_is_the_same_for_every_drive(
+        self, numa_device, small_model, small_stream, kind
+    ):
+        """An abort stops run(), run_until() and step() after the same event."""
+
+        class AbortAtTenth(SimObserver):
+            def __init__(self):
+                self.session = None
+                self.seen = 0
+
+            def on_attach(self, session):
+                self.session = session
+
+            def _see(self, seen_kind):
+                if seen_kind == kind:
+                    self.seen += 1
+                    if self.seen == 10:
+                        self.session.abort("tenth")
+
+            def on_request_arrival(self, event):
+                self._see("arrival")
+
+            def on_request_completion(self, event):
+                self._see("completion")
+
+        def abort_point(drive):
+            session = make_simulation(numa_device, small_model).session(
+                small_stream, observers=[AbortAtTenth()]
+            )
+            if drive == "run":
+                with pytest.raises(SimulationAborted):
+                    session.run()
+            elif drive == "run_until":
+                session.run_until(float("inf"))
+            else:
+                while session.step():
+                    pass
+            assert session.aborted
+            return session.now_ms, session.completed_requests, session.partial_result()
+
+        assert abort_point("run") == abort_point("run_until") == abort_point("step")
+
     def test_slo_monitor_aborts_doomed_run_early(self, numa_device, small_model, small_stream):
         monitor = SLOMonitor(target_ms=0.001, percentile=50.0)
         session = make_simulation(numa_device, small_model).session(
@@ -420,3 +467,128 @@ class TestAbort:
         session.run()
         with pytest.raises(SimulationError):
             session.abort("too late")
+
+
+class ClockWatcher(SimObserver):
+    """Asserts the session clock never moves backwards.
+
+    Checks at every arrival, batch start and completion hook, and
+    whenever the test calls :meth:`check` between drives.
+    """
+
+    def __init__(self):
+        self.session = None
+        self.latest = 0.0
+
+    def on_attach(self, session):
+        self.session = session
+
+    def check(self, event=None):
+        assert self.session.now_ms >= self.latest
+        self.latest = self.session.now_ms
+
+    on_request_arrival = check
+    on_batch_start = check
+    on_request_completion = check
+
+
+#: One interleaved-drive operation: ``("step", k)`` steps k times;
+#: ``("until", i, between)`` runs until arrival i's instant, or (with
+#: ``between``) to a time halfway to the next arrival.
+_DRIVE_OPERATIONS = st.one_of(
+    st.tuples(st.just("step"), st.integers(1, 40)),
+    st.tuples(st.just("until"), st.integers(0, 149), st.booleans()),
+)
+
+
+class TestOneEventLoop:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        system=st.sampled_from(["fcfs", "coserve"]),
+        lazy=st.booleans(),
+        order=st.sampled_from(["scan", "shuffled"]),
+        keep_request_records=st.booleans(),
+        num_requests=st.integers(1, 150),
+        seed=st.integers(0, 10_000),
+        interval=st.sampled_from([1.0, 4.0]),
+        operations=st.lists(_DRIVE_OPERATIONS, max_size=12),
+    )
+    def test_interleaved_drives_match_plain_run(
+        self,
+        numa_device,
+        small_board,
+        small_model,
+        pressure_usage,
+        numa_matrix,
+        system,
+        lazy,
+        order,
+        keep_request_records,
+        num_requests,
+        seed,
+        interval,
+        operations,
+    ):
+        """Any interleaving of step(), run_until(t) and a final run()
+        processes the same events and serves the same result as a plain
+        run(), because all three drive one loop."""
+        options = SimulationOptions(keep_request_records=keep_request_records)
+
+        def simulation():
+            if system == "fcfs":
+                return make_simulation(numa_device, small_model, options=options)
+            return build_system(
+                "coserve",
+                numa_device,
+                small_model,
+                pressure_usage,
+                performance_matrix=numa_matrix,
+                options=options,
+            ).build_simulation()
+
+        make_stream = RequestStream.lazy if lazy else generate_request_stream
+        stream = make_stream(
+            small_board,
+            small_model,
+            num_requests=num_requests,
+            arrival_interval_ms=interval,
+            seed=seed,
+            name="interleaved",
+            order=order,
+        )
+        arrivals = [spec.arrival_ms for spec in stream]
+
+        plain = simulation().run(stream)
+        if not lazy:
+            assert preredesign_run(simulation(), stream) == plain
+        stepped = simulation().session(stream)
+        step_count = 0
+        while stepped.step():
+            step_count += 1
+        assert stepped.result == plain
+
+        for finish_with_run in (True, False):
+            watcher = ClockWatcher()
+            session = simulation().session(stream, observers=[watcher])
+            processed = 0
+            for operation in operations:
+                if operation[0] == "step":
+                    for _ in range(operation[1]):
+                        processed += session.step()
+                        watcher.check()
+                else:
+                    _, index, between = operation
+                    deadline = arrivals[index % len(arrivals)] + (interval / 2 if between else 0.0)
+                    processed += session.run_until(deadline)
+                    watcher.check()
+                    assert session.is_finished or session.next_event_time_ms > deadline
+            if finish_with_run:
+                result = session.run()
+                assert processed <= step_count
+            else:
+                processed += session.run_until(float("inf"))
+                assert session.is_finished
+                assert processed == step_count
+                result = session.result
+            watcher.check()
+            assert result == plain

@@ -153,13 +153,6 @@ def tiny_context():
 
 
 class TestSweepRunner:
-    def test_serve_shim_matches_one_cell_sweep(self, tiny_context):
-        cell = SweepCell.make("coserve-best", "numa", "A1")
-        direct = execute_cell(tiny_context, cell, keep_requests=True)
-        shim = tiny_context.serve("coserve-best", "numa", "A1")
-        assert shim == direct
-        assert shim.requests, "the compatibility shim keeps per-request records"
-
     def test_runner_skips_cells_already_present(self, tiny_context):
         grid = SweepGrid.single(SweepCell.make("coserve-best", "numa", "A1"))
         results = SweepResults()
