@@ -121,6 +121,11 @@ class CoEModel:
         return sum(expert.weight_bytes for expert in self.experts.values())
 
     @property
+    def largest_expert_bytes(self) -> int:
+        """Weight bytes of the largest expert: the smallest usable pool."""
+        return max(expert.weight_bytes for expert in self.experts.values())
+
+    @property
     def total_parameters(self) -> int:
         """Total parameter count across all experts."""
         return sum(expert.architecture.parameters for expert in self.experts.values())

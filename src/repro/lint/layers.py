@@ -17,7 +17,8 @@ acyclic.
 The map is intentionally an *allowlist*, not a rank order: the two
 declared exception pairs (``core`` ↔ ``simulation``, whose §4 technique
 classes wrap the executor data model, and ``simulation`` → ``metrics``,
-the legacy shim's collector) would be unexpressible as a total order.
+the collector every session fills through its built-in observer) would
+be unexpressible as a total order.
 Widening an entry is an architectural decision — do it in a PR that
 says so, not by sprinkling suppressions.
 

@@ -1,11 +1,13 @@
 """Metric collection and reporting.
 
-The collector accumulates the quantities the paper reports: throughput
-(Figure 13, 15, 17, 18), expert switches (Figure 14, 16), the split of
-busy time between expert switching and execution (Figure 1), and
-scheduling overhead (Figure 19).  Collection attaches to simulation
-sessions through the observer API (:class:`MetricsObserver`,
-:class:`TimelineObserver`); the report helpers render experiment
+A run is observed through one path: session observers.  Every
+simulation session subscribes a :class:`MetricsObserver`, which sums
+the quantities the paper reports into the deployment's
+:class:`MetricsCollector` — throughput inputs (Figures 13, 15, 17,
+18), expert switches (Figures 14, 16), the split of busy time between
+expert switching and execution (Figure 1), and scheduling overhead
+(Figure 19).  Per-executor timelines come from attaching a
+:class:`TimelineObserver`; the report helpers render experiment
 results as aligned text tables.
 """
 
@@ -15,7 +17,6 @@ from repro.metrics.timeline import (
     ExecutorTimeline,
     TimelineInterval,
     TimelineObserver,
-    build_timelines,
     utilisation_report,
 )
 
@@ -27,6 +28,5 @@ __all__ = [
     "ExecutorTimeline",
     "TimelineInterval",
     "TimelineObserver",
-    "build_timelines",
     "utilisation_report",
 ]

@@ -1,56 +1,32 @@
 """Run-level metric accumulation.
 
-:class:`MetricsCollector` is the accumulator; :class:`MetricsObserver`
-streams a simulation session's typed events into it.  The observer is
-what :meth:`repro.simulation.engine.ServingSimulation.run` attaches as
-its built-in — metric collection rides the
+:class:`MetricsCollector` holds the run totals a
+:class:`~repro.simulation.results.SimulationResult` reports;
+:class:`MetricsObserver` streams a simulation session's typed events
+into it.  Every session subscribes one ``MetricsObserver`` feeding
+``ServingSimulation.metrics`` — metric collection rides the
 :class:`~repro.simulation.session.SimObserver` hook surface instead of
-being hard-wired into the event loop.
+being hard-wired into the event loop, and there is no other path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.session import BatchStart, ExpertLoad, JobDispatch
 
 
 @dataclass
-class LoadEvent:
-    """One expert load performed during serving."""
-
-    time_ms: float
-    executor_name: str
-    expert_id: str
-    source_tier: str
-    latency_ms: float
-    evicted: bool
-    initial: bool
-
-
-@dataclass
-class ExecutionEvent:
-    """One batch execution."""
-
-    time_ms: float
-    executor_name: str
-    expert_id: str
-    batch_size: int
-    latency_ms: float
-
-
-@dataclass
 class MetricsCollector:
-    """Accumulates per-run metrics for the simulation engine.
+    """The run totals behind a :class:`~repro.simulation.results.SimulationResult`.
 
-    The collector keeps both aggregate counters (always) and full event
-    lists (only when ``keep_events`` is true) so long runs stay light
-    while ablation experiments can still drill into individual events.
+    Only sums are kept; per-event detail is what observers are for
+    (:class:`~repro.metrics.timeline.TimelineObserver` records
+    per-executor intervals, ``SimulationSession.events()`` yields every
+    event).
     """
-
-    keep_events: bool = False
 
     total_execution_ms: float = 0.0
     total_switching_ms: float = 0.0
@@ -60,11 +36,6 @@ class MetricsCollector:
     expert_switches: int = 0
     loads_from_ssd: int = 0
     loads_from_cache: int = 0
-    batches_executed: int = 0
-    stages_executed: int = 0
-
-    load_events: List[LoadEvent] = field(default_factory=list)
-    execution_events: List[ExecutionEvent] = field(default_factory=list)
 
     def record_scheduling(self, latency_ms: float) -> None:
         """Record one scheduling decision."""
@@ -73,86 +44,29 @@ class MetricsCollector:
         self.total_scheduling_ms += latency_ms
         self.scheduling_decisions += 1
 
-    def record_load(
-        self,
-        time_ms: float,
-        executor_name: str,
-        expert_id: str,
-        source_tier: str,
-        latency_ms: float,
-        evicted: bool,
-        initial: bool = False,
-    ) -> None:
+    def record_load(self, source_tier: str, latency_ms: float, evicted: bool) -> None:
         """Record one expert load (and whether it displaced residents)."""
-        if not initial:
-            self.expert_loads += 1
-            self.total_switching_ms += latency_ms
-            if evicted:
-                self.expert_switches += 1
-            if source_tier == "ssd":
-                self.loads_from_ssd += 1
-            else:
-                self.loads_from_cache += 1
-        if self.keep_events:
-            self.load_events.append(
-                LoadEvent(
-                    time_ms=time_ms,
-                    executor_name=executor_name,
-                    expert_id=expert_id,
-                    source_tier=source_tier,
-                    latency_ms=latency_ms,
-                    evicted=evicted,
-                    initial=initial,
-                )
-            )
+        self.expert_loads += 1
+        self.total_switching_ms += latency_ms
+        if evicted:
+            self.expert_switches += 1
+        if source_tier == "ssd":
+            self.loads_from_ssd += 1
+        else:
+            self.loads_from_cache += 1
 
-    def record_execution(
-        self,
-        time_ms: float,
-        executor_name: str,
-        expert_id: str,
-        batch_size: int,
-        latency_ms: float,
-    ) -> None:
+    def record_execution(self, latency_ms: float) -> None:
         """Record one batch execution."""
         self.total_execution_ms += latency_ms
-        self.batches_executed += 1
-        self.stages_executed += batch_size
-        if self.keep_events:
-            self.execution_events.append(
-                ExecutionEvent(
-                    time_ms=time_ms,
-                    executor_name=executor_name,
-                    expert_id=expert_id,
-                    batch_size=batch_size,
-                    latency_ms=latency_ms,
-                )
-            )
-
-    @property
-    def average_scheduling_latency_ms(self) -> float:
-        if self.scheduling_decisions == 0:
-            return 0.0
-        return self.total_scheduling_ms / self.scheduling_decisions
-
-    @property
-    def switching_share(self) -> float:
-        """Fraction of serving time spent switching experts."""
-        total = self.total_execution_ms + self.total_switching_ms
-        if total <= 0:
-            return 0.0
-        return self.total_switching_ms / total
 
 
 class MetricsObserver:
     """Feeds session events into a :class:`MetricsCollector`.
 
-    This is the built-in observer behind the legacy
-    ``ServingSimulation.run()`` shim: with it attached, a session
-    produces exactly the collector state the pre-session inline calls
-    produced.  It implements the ``SimObserver`` protocol structurally
-    (only the three hooks it needs), so this module does not depend on
-    the simulation package.
+    Every session subscribes one, feeding ``simulation.metrics``, before
+    any caller-supplied observer.  It implements the ``SimObserver``
+    protocol structurally (only the three hooks it needs), so this
+    module does not depend on the simulation package.
     """
 
     def __init__(self, collector: Optional[MetricsCollector] = None) -> None:
@@ -169,20 +83,7 @@ class MetricsObserver:
         collector.scheduling_decisions += 1
 
     def on_batch_start(self, event: "BatchStart") -> None:
-        self.collector.record_execution(
-            time_ms=event.time_ms,
-            executor_name=event.executor_name,
-            expert_id=event.expert_id,
-            batch_size=event.batch_size,
-            latency_ms=event.latency_ms,
-        )
+        self.collector.record_execution(event.latency_ms)
 
     def on_expert_load(self, event: "ExpertLoad") -> None:
-        self.collector.record_load(
-            time_ms=event.time_ms,
-            executor_name=event.executor_name,
-            expert_id=event.expert_id,
-            source_tier=event.source_tier,
-            latency_ms=event.latency_ms,
-            evicted=event.evicted,
-        )
+        self.collector.record_load(event.source_tier, event.latency_ms, event.evicted)

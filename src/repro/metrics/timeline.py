@@ -1,24 +1,19 @@
 """Per-executor timelines of simulation activity.
 
-Two ways to build them:
-
-* post-hoc, from a collector that ran with
-  ``SimulationOptions(keep_metric_events=True)`` — :func:`build_timelines`;
-* live, by attaching a :class:`TimelineObserver` to a
-  :class:`~repro.simulation.session.SimulationSession` — no collector
-  event retention required, and the timelines are available mid-run.
-
-Both produce the same :class:`ExecutorTimeline` objects — the kind of
-breakdown used to debug why a configuration under-performs (e.g. a CPU
-executor spending most of its time loading experts from the SSD).
+A :class:`TimelineObserver` attached to a
+:class:`~repro.simulation.session.SimulationSession` records every
+expert load and batch execution as a busy interval of its executor, live
+(the timelines are readable mid-run).  It is the only timeline source:
+the metrics collector keeps run totals, not events.  The resulting
+:class:`ExecutorTimeline` objects are the breakdown used to debug why a
+configuration under-performs (e.g. a CPU executor spending most of its
+time loading experts from the SSD).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
-
-from repro.metrics.collector import ExecutionEvent, LoadEvent, MetricsCollector
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.session import BatchStart, ExpertLoad
@@ -89,14 +84,11 @@ class ExecutorTimeline:
 class TimelineObserver:
     """Builds per-executor timelines live from session events.
 
-    The observer-API counterpart of :func:`build_timelines`: identical
-    :class:`ExecutorTimeline` output, but without keeping events in the
-    metrics collector and usable while the session is still running.
-    Implements the ``SimObserver`` protocol structurally.
+    Usable while the session is still running.  Implements the
+    ``SimObserver`` protocol structurally.
 
     Preloads during system initialisation happen before any session
-    exists, so (matching ``build_timelines``'s skipping of initial
-    loads) they never appear in the intervals.
+    exists, so they never appear in the intervals.
     """
 
     def __init__(self) -> None:
@@ -135,52 +127,6 @@ class TimelineObserver:
             )
             for executor_name, intervals in self._intervals.items()
         }
-
-
-def build_timelines(metrics: MetricsCollector) -> Dict[str, ExecutorTimeline]:
-    """Build per-executor timelines from a collector's recorded events.
-
-    Raises
-    ------
-    ValueError
-        If the collector was created without ``keep_events=True`` (there
-        is nothing to build a timeline from).
-    """
-    if not metrics.keep_events:
-        raise ValueError(
-            "the metrics collector did not keep events; run the simulation with "
-            "SimulationOptions(keep_metric_events=True)"
-        )
-    intervals_by_executor: Dict[str, List[TimelineInterval]] = {}
-
-    for event in metrics.load_events:
-        if event.initial:
-            continue
-        intervals_by_executor.setdefault(event.executor_name, []).append(
-            TimelineInterval(
-                start_ms=event.time_ms,
-                end_ms=event.time_ms + event.latency_ms,
-                kind="load",
-                expert_id=event.expert_id,
-                detail=f"from {event.source_tier}",
-            )
-        )
-    for event in metrics.execution_events:
-        intervals_by_executor.setdefault(event.executor_name, []).append(
-            TimelineInterval(
-                start_ms=event.time_ms,
-                end_ms=event.time_ms + event.latency_ms,
-                kind="execute",
-                expert_id=event.expert_id,
-                detail=f"batch={event.batch_size}",
-            )
-        )
-
-    timelines: Dict[str, ExecutorTimeline] = {}
-    for executor_name, intervals in intervals_by_executor.items():
-        ordered = tuple(sorted(intervals, key=lambda interval: (interval.start_ms, interval.end_ms)))
-        timelines[executor_name] = ExecutorTimeline(executor_name=executor_name, intervals=ordered)
-    return timelines
 
 
 def utilisation_report(

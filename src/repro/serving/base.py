@@ -7,8 +7,12 @@ from typing import Optional, Sequence
 
 from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile, compute_usage_profile
+from repro.core.config import PerformanceMatrix
+from repro.core.initializer import host_cache_preload_plan, round_robin_preload_plan
+from repro.core.profiler import OfflineProfiler
 from repro.hardware.device import Device
 from repro.simulation.engine import ServingSimulation
+from repro.simulation.executor import ExecutorConfig
 from repro.simulation.results import SimulationResult
 from repro.simulation.session import SimulationSession
 from repro.workload.generator import RequestStreamLike
@@ -34,10 +38,13 @@ class ServingSystem(abc.ABC):
         device: Device,
         model: CoEModel,
         usage_profile: Optional[UsageProfile] = None,
+        performance_matrix: Optional[PerformanceMatrix] = None,
     ) -> None:
         self.device = device
         self.model = model
         self.usage_profile = usage_profile or self._default_usage_profile()
+        #: The offline profiler's matrix; profiled on first use if None.
+        self.performance_matrix = performance_matrix
 
     def _default_usage_profile(self) -> UsageProfile:
         """Uniform usage probabilities when no profile is supplied."""
@@ -61,11 +68,35 @@ class ServingSystem(abc.ABC):
     def build_simulation(self) -> ServingSimulation:
         """Construct and initialise the simulation for one run."""
 
-    def session(
+    def _matrix(self) -> PerformanceMatrix:
+        if self.performance_matrix is None:
+            profiler = OfflineProfiler(self.device, self.model)
+            self.performance_matrix = profiler.build_performance_matrix()
+        return self.performance_matrix
+
+    def _preload(
         self,
-        stream: RequestStreamLike,
-        observers: Sequence[object] = (),
-        collect_metrics: bool = True,
+        simulation: ServingSimulation,
+        executor_configs: Sequence[ExecutorConfig],
+        host_cache_bytes: int,
+    ) -> None:
+        """Run the initialisation preloads of ``simulation`` (§4.1).
+
+        Executor pools are filled round-robin by descending usage
+        probability; then, if ``host_cache_bytes`` is positive, the host
+        cache stages the most-used experts no pool holds.
+        """
+        plan = round_robin_preload_plan(executor_configs, self.model, self.usage_profile)
+        simulation.preload(plan)
+        if host_cache_bytes > 0:
+            already_resident = {expert for experts in plan.values() for expert in experts}
+            cache_plan = host_cache_preload_plan(
+                host_cache_bytes, self.model, self.usage_profile, exclude=already_resident
+            )
+            simulation.preload_host_cache(cache_plan)
+
+    def session(
+        self, stream: RequestStreamLike, observers: Sequence[object] = ()
     ) -> SimulationSession:
         """Open a steppable session serving ``stream`` on a fresh deployment.
 
@@ -75,12 +106,8 @@ class ServingSystem(abc.ABC):
         may be an eager :class:`~repro.workload.generator.RequestStream`
         or a :class:`~repro.workload.generator.LazyRequestStream` (the
         long-production-shift form — specs realised on demand).
-        ``collect_metrics=False`` drops the built-in metrics observer
-        (for callers replacing the collector wholesale).
         """
-        return self.build_simulation().session(
-            stream, observers=observers, collect_metrics=collect_metrics
-        )
+        return self.build_simulation().session(stream, observers=observers)
 
     def serve(
         self, stream: RequestStreamLike, observers: Sequence[object] = ()

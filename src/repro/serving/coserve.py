@@ -29,19 +29,21 @@ from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile
 from repro.core.config import PerformanceMatrix
 from repro.core.expert_manager import DependencyAwareEvictionPolicy
-from repro.core.initializer import host_cache_preload_plan, round_robin_preload_plan
 from repro.core.memory import (
     limited_compute_plan,
     split_capacity_by_expert_count,
     split_capacity_by_fraction,
 )
-from repro.core.profiler import OfflineProfiler
 from repro.core.scheduler import CoServeScheduler
 from repro.hardware.device import Device
 from repro.hardware.processor import ProcessorKind
 from repro.policies.fifo import FIFOPolicy
 from repro.serving.base import ServingSystem
-from repro.serving.layout import clamp_expert_pool, usable_device_budget
+from repro.serving.layout import (
+    CPU_EXECUTOR_BUDGET_FRACTION,
+    clamp_expert_pool,
+    usable_device_budget,
+)
 from repro.simulation.engine import ServingSimulation, SimulationOptions
 from repro.simulation.executor import ExecutorConfig
 
@@ -57,10 +59,6 @@ DEFAULT_CPU_EXECUTORS = {"numa": 1, "uma": 1}
 DEFAULT_GPU_EXPERT_COUNT = {"numa": 42, "uma": 40}
 #: Modelled per-decision scheduling latency (Figure 19).
 DEFAULT_SCHEDULING_LATENCY_MS = {"numa": 8.3, "uma": 2.3}
-#: Share of the CPU-side budget given to CPU executors on a NUMA
-#: device; the remainder becomes the host-memory expert cache that GPU
-#: executors demote evicted experts into.
-CPU_EXECUTOR_BUDGET_FRACTION = 0.7
 
 
 class CoServeSystem(ServingSystem):
@@ -86,7 +84,7 @@ class CoServeSystem(ServingSystem):
         options: Optional[SimulationOptions] = None,
         label: str = "CoServe",
     ) -> None:
-        super().__init__(device, model, usage_profile)
+        super().__init__(device, model, usage_profile, performance_matrix)
         arch = device.architecture.value
         self.gpu_executors = gpu_executors if gpu_executors is not None else DEFAULT_GPU_EXECUTORS[arch]
         self.cpu_executors = cpu_executors if cpu_executors is not None else DEFAULT_CPU_EXECUTORS[arch]
@@ -109,7 +107,6 @@ class CoServeSystem(ServingSystem):
             if scheduling_latency_ms is not None
             else DEFAULT_SCHEDULING_LATENCY_MS[arch]
         )
-        self.performance_matrix = performance_matrix
         self.preload = preload
         self.preload_host_cache_enabled = preload_host_cache
         self.options = options or SimulationOptions()
@@ -191,17 +188,8 @@ class CoServeSystem(ServingSystem):
     # ------------------------------------------------------------------
     # Simulation construction
     # ------------------------------------------------------------------
-    def _matrix(self) -> PerformanceMatrix:
-        if self.performance_matrix is None:
-            profiler = OfflineProfiler(self.device, self.model)
-            self.performance_matrix = profiler.build_performance_matrix()
-        return self.performance_matrix
-
     def _mean_expert_bytes(self) -> float:
         return self.model.total_weight_bytes / len(self.model)
-
-    def _largest_expert_bytes(self) -> int:
-        return max(expert.weight_bytes for expert in self.model.experts.values())
 
     def _gpu_executor_configs(self, matrix: PerformanceMatrix, gpu_budget: int) -> List[ExecutorConfig]:
         per_executor_total = gpu_budget // self.gpu_executors
@@ -218,7 +206,7 @@ class CoServeSystem(ServingSystem):
             ).expert_pool_bytes
             pool_bytes = total_pool // self.gpu_executors
         pool_bytes, activation_bytes = clamp_expert_pool(
-            pool_bytes, per_executor_total, self._largest_expert_bytes(), min_activation
+            pool_bytes, per_executor_total, self.model.largest_expert_bytes, min_activation
         )
         return [
             ExecutorConfig(
@@ -248,7 +236,7 @@ class CoServeSystem(ServingSystem):
             pool_bytes, activation_bytes = clamp_expert_pool(
                 plan.expert_pool_bytes,
                 per_executor_budget,
-                self._largest_expert_bytes(),
+                self.model.largest_expert_bytes,
                 max(record.activation_bytes_per_sample for record in cpu_records),
             )
             configs.append(
@@ -297,12 +285,9 @@ class CoServeSystem(ServingSystem):
             system_name=self.name,
         )
         if self.preload:
-            plan = round_robin_preload_plan(executor_configs, self.model, self.usage_profile)
-            simulation.preload(plan)
-            if self.preload_host_cache_enabled and host_cache_bytes > 0:
-                already_resident = {expert for experts in plan.values() for expert in experts}
-                cache_plan = host_cache_preload_plan(
-                    host_cache_bytes, self.model, self.usage_profile, exclude=already_resident
-                )
-                simulation.preload_host_cache(cache_plan)
+            self._preload(
+                simulation,
+                executor_configs,
+                host_cache_bytes if self.preload_host_cache_enabled else 0,
+            )
         return simulation

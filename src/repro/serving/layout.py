@@ -25,6 +25,10 @@ UMA_USABLE_FRACTION = 0.60
 #: Share of the usable unified memory given to GPU executors when CPU
 #: executors are also present on a UMA device.
 UMA_GPU_SHARE = 0.75
+#: Share of the CPU-side budget given to CPU executors on a NUMA
+#: device; the remainder becomes the host-memory expert cache (the DDR
+#: tier) that GPU executors demote evicted experts into.
+CPU_EXECUTOR_BUDGET_FRACTION = 0.7
 
 
 @dataclass(frozen=True)

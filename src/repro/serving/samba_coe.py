@@ -22,8 +22,6 @@ from typing import List, Optional
 from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile
 from repro.core.config import PerformanceMatrix
-from repro.core.initializer import host_cache_preload_plan, round_robin_preload_plan
-from repro.core.profiler import OfflineProfiler
 from repro.hardware.device import Device
 from repro.hardware.processor import ProcessorKind
 from repro.policies.base import EvictionPolicy
@@ -32,13 +30,13 @@ from repro.policies.lru import LRUPolicy
 from repro.scheduling.fcfs import FCFSScheduling
 from repro.scheduling.round_robin import RoundRobinScheduling
 from repro.serving.base import ServingSystem
-from repro.serving.layout import clamp_expert_pool, usable_device_budget
+from repro.serving.layout import (
+    CPU_EXECUTOR_BUDGET_FRACTION,
+    clamp_expert_pool,
+    usable_device_budget,
+)
 from repro.simulation.engine import ServingSimulation, SimulationOptions
 from repro.simulation.executor import ExecutorConfig
-
-#: Share of the CPU-side budget given to CPU executors of the Parallel
-#: variant (the rest stays available as the DDR expert cache).
-CPU_EXECUTOR_BUDGET_FRACTION = 0.7
 
 
 class SambaCoESystem(ServingSystem):
@@ -59,7 +57,7 @@ class SambaCoESystem(ServingSystem):
         options: Optional[SimulationOptions] = None,
         label: Optional[str] = None,
     ) -> None:
-        super().__init__(device, model, usage_profile)
+        super().__init__(device, model, usage_profile, performance_matrix)
         replacement = replacement.strip().lower()
         if replacement not in ("lru", "fifo"):
             raise ValueError(f"unknown replacement policy '{replacement}' (expected 'lru' or 'fifo')")
@@ -75,7 +73,6 @@ class SambaCoESystem(ServingSystem):
         self.cpu_executors = cpu_executors
         self.batch_size = batch_size
         self.preload = preload
-        self.performance_matrix = performance_matrix
         self.options = options or SimulationOptions()
         if label is None:
             if parallel:
@@ -128,15 +125,6 @@ class SambaCoESystem(ServingSystem):
     # ------------------------------------------------------------------
     # Simulation construction
     # ------------------------------------------------------------------
-    def _matrix(self) -> PerformanceMatrix:
-        if self.performance_matrix is None:
-            profiler = OfflineProfiler(self.device, self.model)
-            self.performance_matrix = profiler.build_performance_matrix()
-        return self.performance_matrix
-
-    def _largest_expert_bytes(self) -> int:
-        return max(expert.weight_bytes for expert in self.model.experts.values())
-
     def _executor_configs(self, matrix: PerformanceMatrix) -> List[ExecutorConfig]:
         budget = usable_device_budget(self.device, self.cpu_executors)
         configs: List[ExecutorConfig] = []
@@ -151,7 +139,7 @@ class SambaCoESystem(ServingSystem):
         pool_bytes, activation_bytes = clamp_expert_pool(
             per_gpu_total - gpu_activation,
             per_gpu_total,
-            self._largest_expert_bytes(),
+            self.model.largest_expert_bytes,
             gpu_activation,
         )
         for index in range(self.gpu_executors):
@@ -178,7 +166,7 @@ class SambaCoESystem(ServingSystem):
             cpu_pool, cpu_act = clamp_expert_pool(
                 per_cpu_budget - cpu_activation,
                 per_cpu_budget,
-                self._largest_expert_bytes(),
+                self.model.largest_expert_bytes,
                 cpu_activation,
             )
             for index in range(self.cpu_executors):
@@ -227,12 +215,5 @@ class SambaCoESystem(ServingSystem):
             system_name=self.name,
         )
         if self.preload:
-            plan = round_robin_preload_plan(configs, self.model, self.usage_profile)
-            simulation.preload(plan)
-            if host_cache_bytes > 0:
-                already_resident = {expert for experts in plan.values() for expert in experts}
-                cache_plan = host_cache_preload_plan(
-                    host_cache_bytes, self.model, self.usage_profile, exclude=already_resident
-                )
-                simulation.preload_host_cache(cache_plan)
+            self._preload(simulation, configs, host_cache_bytes)
         return simulation

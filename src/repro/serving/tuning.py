@@ -94,7 +94,7 @@ def run_memory_allocation_search(
         performance_matrix = OfflineProfiler(device, model).build_performance_matrix()
     search = search or DecayWindowSearch(initial_window=15, error_margin=0.05)
 
-    largest_expert = max(expert.weight_bytes for expert in model.experts.values())
+    largest_expert = model.largest_expert_bytes
     mean_expert = model.total_weight_bytes / len(model)
     from repro.serving.layout import usable_device_budget  # local import to avoid cycle at module load
 

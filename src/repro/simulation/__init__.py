@@ -19,8 +19,9 @@ The primary serving API is the steppable :class:`SimulationSession`:
 timeline recording, SLO monitoring and custom scenarios.  ``step()``,
 ``run_until()`` and ``run()`` all drive the session's one event loop,
 bounded by a deadline or by a single event.
-``ServingSimulation.run()`` remains as a compatibility shim that drives
-a session with the built-in metrics observer.
+Observers are the only observation path: every session subscribes the
+built-in metrics observer, and ``ServingSimulation.run()`` is shorthand
+for ``session(...).run()``.
 """
 
 from repro.simulation.request import SimRequest, StageJob, StageRecord

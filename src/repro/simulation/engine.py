@@ -32,9 +32,10 @@ All decisions are delegated to the scheduling policy (assignment,
 arrangement, batch-size limit) and the eviction policy (victim order),
 so Samba-CoE, its variants and CoServe all run on this single engine.
 
-:meth:`ServingSimulation.run` survives as a documented compatibility
-shim: it drives a session with the built-in metrics observer attached
-and returns the assembled result, bit-identical to the pre-session
+:meth:`ServingSimulation.run` is shorthand for ``session(...).run()``.
+Every session subscribes the built-in metrics observer, which fills
+:attr:`ServingSimulation.metrics` — the one place the result's metric
+totals come from — and results are bit-identical to the pre-session
 monolithic loop (equivalence is enforced against
 :mod:`repro.simulation.reference`).
 
@@ -90,19 +91,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimulationOptions:
-    """Tunable behaviour of the engine.
+    """Tunable behaviour of the engine (keyword-only).
+
+    How a run is *observed* is not an option: every session subscribes
+    the built-in :class:`~repro.metrics.collector.MetricsObserver`, and
+    timelines, SLO monitors and event streams are further observers.
+    These knobs only decide what state the engine keeps.
 
     Parameters
     ----------
-    count_initial_loads_as_switches:
-        Whether preloading during system initialisation counts towards
-        the expert-switch metric (the paper does not count it).
     keep_request_records:
         Keep per-request stage records in the result (needed for the
         latency breakdowns of Figures 1 and 19; can be disabled for
         large sweeps).
+    share_pool_per_processor:
+        Executors bound to the same processor share one model pool
+        (they share the same physical memory).  Disable to give every
+        executor a private pool.
     keep_stage_records:
         Materialise per-stage :class:`~repro.simulation.request.StageRecord`\\ s
         on live requests.  Disable (together with
@@ -112,19 +119,10 @@ class SimulationOptions:
         tracked, but ``SimRequest.records`` stays empty, so observers
         reading per-stage breakdowns (e.g. an ``SLOMonitor`` on the
         ``"service"`` metric) need this left on.
-    keep_metric_events:
-        Keep individual load/execution events in the metrics collector.
     """
 
-    count_initial_loads_as_switches: bool = False
     keep_request_records: bool = True
-    keep_metric_events: bool = False
-    #: Executors bound to the same processor share one model pool (they
-    #: share the same physical memory).  Disable to give every executor
-    #: a private pool.
     share_pool_per_processor: bool = True
-    #: Appended after the pre-existing fields so positional construction
-    #: keeps its old meaning.
     keep_stage_records: bool = True
 
     def __post_init__(self) -> None:
@@ -195,7 +193,7 @@ class ServingSimulation:
             if device.has_tier(tier):
                 self._io_resources[tier] = SerialResource(name=f"io-{tier.value}")
 
-        self.metrics = MetricsCollector(keep_events=self.options.keep_metric_events)
+        self.metrics = MetricsCollector()
         self._preload_plan: Dict[str, Tuple[str, ...]] = {}
         #: The session currently driving this deployment (one per build).
         self._session: Optional[SimulationSession] = None
@@ -237,7 +235,7 @@ class ServingSimulation:
                     f"memory budgets for tier '{tier.value}' total {used} bytes, "
                     f"exceeding the device capacity of {capacity} bytes"
                 )
-        largest_expert = max(expert.weight_bytes for expert in self.model.experts.values())
+        largest_expert = self.model.largest_expert_bytes
         for executor in self._executors:
             if executor.pool.capacity_bytes < largest_expert:
                 raise SimulationError(
@@ -265,10 +263,9 @@ class ServingSimulation:
         The plan maps executor names to expert ids in priority order;
         loading stops silently for experts that no longer fit (the paper
         fills pools "until the memory is fully utilized").  Preloads are
-        free in virtual time and, by default, do not count as switches.
-        Initialisation happens before any session exists, so preloads
-        feed the metrics collector directly and are never seen by
-        session observers.
+        free in virtual time and are not switches: initialisation
+        happens before any session exists, so no observer sees them and
+        the run's metrics start at zero.
         """
         for executor_name, expert_ids in plan.items():
             executor = self.executor(executor_name)
@@ -281,15 +278,6 @@ class ServingSimulation:
                     continue
                 executor.pool.load(expert_id, expert.weight_bytes)
                 self.eviction_policy.record_load(executor.pool.name, expert_id, 0.0)
-                self.metrics.record_load(
-                    time_ms=0.0,
-                    executor_name=executor.name,
-                    expert_id=expert_id,
-                    source_tier=MemoryTier.SSD.value,
-                    latency_ms=0.0,
-                    evicted=False,
-                    initial=not self.options.count_initial_loads_as_switches,
-                )
                 loaded.append(expert_id)
             self._preload_plan[executor_name] = tuple(loaded)
 
@@ -310,10 +298,7 @@ class ServingSimulation:
     # Serving
     # ------------------------------------------------------------------
     def session(
-        self,
-        stream: RequestStreamLike,
-        observers: Sequence[object] = (),
-        collect_metrics: bool = True,
+        self, stream: RequestStreamLike, observers: Sequence[object] = ()
     ) -> SimulationSession:
         """Open a steppable session over this deployment.
 
@@ -324,22 +309,17 @@ class ServingSimulation:
         :class:`~repro.workload.generator.LazyRequestStream` — the
         session consumes specs through its arrival cursor either way,
         and a lazy stream keeps million-request runs at in-flight
-        memory.  ``collect_metrics=False`` drops the built-in metrics
-        observer — for callers that replace the collector wholesale
-        (e.g. supplying their own ``MetricsObserver(self.metrics)``).
+        memory.  The session's built-in metrics observer feeds
+        ``self.metrics``; ``observers`` are subscribed after it.
         """
-        return SimulationSession(
-            self, stream, observers=observers, collect_metrics=collect_metrics
-        )
+        return SimulationSession(self, stream, observers=observers)
 
     def run(
         self, stream: RequestStreamLike, observers: Sequence[object] = ()
     ) -> SimulationResult:
         """Serve a request stream to completion and return the result.
 
-        Compatibility shim over the session API — exactly equivalent to
-        ``self.session(stream, observers).run()``, with the built-in
-        metrics observer feeding ``self.metrics``.
+        Shorthand for ``self.session(stream, observers).run()``.
         """
         return self.session(stream, observers=observers).run()
 

@@ -272,13 +272,7 @@ def _preredesign_dispatch(simulation, executor, now, events, sequence):
     executor.stats.batches_executed += 1
     executor.stats.stages_executed += len(batch)
     executor.stats.execution_busy_ms += execution_latency
-    simulation.metrics.record_execution(
-        time_ms=start_ms,
-        executor_name=executor.name,
-        expert_id=expert.expert_id,
-        batch_size=len(batch),
-        latency_ms=execution_latency,
-    )
+    simulation.metrics.record_execution(latency_ms=execution_latency)
 
     payload = (executor, batch, now, start_ms, end_ms, switch_wait)
     heapq.heappush(events, (end_ms, _EVENT_FINISH, sequence, payload))
@@ -343,12 +337,7 @@ def _preredesign_load_expert(simulation, executor, expert, now):
     else:
         executor.stats.loads_from_cache += 1
     simulation.metrics.record_load(
-        time_ms=now,
-        executor_name=executor.name,
-        expert_id=expert.expert_id,
-        source_tier=source_tier.value,
-        latency_ms=ready_ms - now,
-        evicted=evicted_any,
+        source_tier=source_tier.value, latency_ms=ready_ms - now, evicted=evicted_any
     )
     return ready_ms
 

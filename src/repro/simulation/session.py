@@ -14,12 +14,12 @@ a session exposes
   :class:`~repro.simulation.results.SimulationResult` (what the legacy
   ``ServingSimulation.run()`` shim delegates to).
 
-Everything that used to be hard-wired into the loop — metric
-accumulation, timeline recording — now attaches through the
-:class:`SimObserver` hook surface, so new scenarios (SLO monitors,
-progress reporters, live dashboards, early aborts) plug in without
-touching the core.  ``repro.metrics.MetricsObserver`` is the built-in
-observer behind the legacy shim; results are bit-identical to the
+Observers are the one way a run is observed.  Every session
+subscribes ``repro.metrics.MetricsObserver``, which sums the result's
+metric totals; timelines (``repro.metrics.TimelineObserver``), SLO
+monitors, progress reporters and early aborts attach through the same
+:class:`SimObserver` hook surface, and :meth:`SimulationSession.events`
+yields the typed events themselves.  Results are bit-identical to the
 pre-session engine (enforced against :mod:`repro.simulation.reference`).
 
 Observer dispatch is pay-for-what-you-use: the session keeps one
@@ -305,11 +305,11 @@ class SimulationSession:
     observers:
         Observers subscribed before the first event.  More can be added
         mid-run with :meth:`add_observer`.
-    collect_metrics:
-        Attach the built-in metrics observer feeding
-        ``simulation.metrics`` (default).  Without it the aggregate
-        metric totals of the result stay zero — disable only when a
-        custom observer replaces the collector wholesale.
+
+    Every session first subscribes the built-in
+    :class:`~repro.metrics.collector.MetricsObserver`, feeding
+    ``simulation.metrics``: it is where the result's metric totals come
+    from.
     """
 
     def __init__(
@@ -317,7 +317,6 @@ class SimulationSession:
         simulation: "ServingSimulation",
         stream: "RequestStreamLike",
         observers: Sequence[object] = (),
-        collect_metrics: bool = True,
     ) -> None:
         if getattr(simulation, "_session", None) is not None:
             raise SimulationError(
@@ -452,10 +451,9 @@ class SimulationSession:
 
         # Subscribe observers last: at attach time they see a fully
         # seeded session (stream length, pending events, time zero).
-        if collect_metrics:
-            from repro.metrics.collector import MetricsObserver
+        from repro.metrics.collector import MetricsObserver
 
-            self.add_observer(MetricsObserver(simulation.metrics))
+        self.add_observer(MetricsObserver(simulation.metrics))
         for observer in observers:
             self.add_observer(observer)
 

@@ -50,18 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.base import EvaluationContext
     from repro.sweeps.spec import SweepCell
 
-#: Overrides consumed by the sweep runner, not the system constructor.
-#: Mirrored here (rather than imported) to keep this module importable
-#: without touching ``repro.sweeps`` — the runner imports *us* lazily.
-_SLO_OVERRIDE_KEYS = ("slo_target_ms", "slo_percentile", "slo_metric")
-
-#: The runner's fidelity override (``SweepCell.at_fidelity``): a
-#: request-count override that reshapes the stream instead of reaching
-#: the system constructor.  Honoured here so the features — and hence
-#: the predictions a halving rung is judged against — describe the same
-#: reduced-fidelity simulation the rung actually runs.
-_FIDELITY_OVERRIDE_KEY = "num_requests"
-
 #: Churn fractions: what share of a pool's preloaded-and-referenced
 #: overlap is evicted before its scan-order turn and must reload.  A
 #: single executor walks the stream in order and LRU mostly protects
@@ -191,15 +179,15 @@ def extract_features(context: "EvaluationContext", cell: "SweepCell") -> CellFea
 
     The cell's serving system is constructed exactly as
     :func:`~repro.sweeps.runner.execute_cell` would construct it (same
-    factory, same overrides minus the runner-consumed SLO keys) and its
+    factory, same :meth:`~repro.sweeps.spec.SweepCell.system_overrides`,
+    same request count: a halving rung's reduced-fidelity cell is
+    described as the simulation the rung actually runs) and its
     simulation is built — which runs the preload plans — but **no event
-    is ever processed**: the probe only reads static structure.
+    is ever processed**: the probe only reads static structure.  A cell
+    ``execute_cell`` would reject raises the same ``ValueError``.
     """
-    overrides = cell.override_dict()
-    for key in _SLO_OVERRIDE_KEYS:
-        overrides.pop(key, None)
-    fidelity = overrides.pop(_FIDELITY_OVERRIDE_KEY, None)
-    num_requests = None if fidelity is None else int(fidelity)  # type: ignore[call-overload]
+    overrides = cell.system_overrides()
+    num_requests = cell.fidelity
     device = context.device(cell.device)
     _, model = context.board_and_model(cell.task)
     matrix = context.performance_matrix(cell.device, cell.task)

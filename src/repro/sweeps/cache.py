@@ -184,8 +184,10 @@ class SweepCache:
 
         ``estimate`` carries the surrogate prediction of a two-stage
         sweep so later regenerations can surface predicted-vs-simulated
-        deltas without re-scoring; pruned placeholders must never reach
-        this method — only genuinely simulated results are cacheable.
+        deltas without re-scoring.  Only genuinely simulated,
+        request-stripped results (what :func:`~repro.sweeps.runner.execute_cell`
+        returns by default) are cacheable: a pruned placeholder, or a
+        result carrying per-request records, raises ``ValueError``.
         """
         if result.aborted and result.abort_reason and result.abort_reason.startswith(
             PRUNED_ABORT_PREFIX
@@ -193,6 +195,13 @@ class SweepCache:
             raise ValueError(
                 f"refusing to cache surrogate-pruned placeholder for {cell.label()}; "
                 "the cache must only ever hold simulated results"
+            )
+        if result.requests:
+            # A request-laden entry would be served to every later
+            # stripped run under the same fingerprint.
+            raise ValueError(
+                f"refusing to cache {cell.label()} with per-request records; "
+                "the cache stores request-stripped results"
             )
         path = self.path_for(cell)
         payload = {

@@ -59,7 +59,7 @@ from repro.simulation.slo import SLOMonitor
 from repro.sweeps.cache import SweepCache
 from repro.sweeps.halving import HalvingConfig, climb
 from repro.sweeps.results import SweepResults
-from repro.sweeps.spec import FIDELITY_OVERRIDE_KEY, CellKey, SweepCell, SweepGrid
+from repro.sweeps.spec import SLO_OVERRIDE_KEYS, CellKey, SweepCell, SweepGrid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.base import EvaluationContext, EvaluationSettings
@@ -80,16 +80,6 @@ def _experiments_base():
 
     return EvaluationContext, EvaluationSettings
 
-#: Cell overrides consumed by the runner itself rather than passed to
-#: ``build_system``: an SLO target turns the cell into an early-abort
-#: run (an :class:`~repro.simulation.slo.SLOMonitor` stops it at the
-#: provable violation point, and the stored result is flagged
-#: ``aborted``).  They stay part of the cell *identity* — an SLO cell
-#: and its unconstrained twin are different simulations.
-#: ``execute_cell`` pops exactly these keys; omitted ones fall back to
-#: the :class:`SLOMonitor` constructor defaults.
-SLO_OVERRIDE_KEYS = ("slo_target_ms", "slo_percentile", "slo_metric")
-
 
 def execute_cell(
     context: EvaluationContext, cell: SweepCell, keep_requests: bool = False
@@ -99,8 +89,9 @@ def execute_cell(
     This is the single serving primitive behind every executor, and
     the call for serving one cell ad hoc.  Per-request records are
     dropped unless ``keep_requests`` — figures aggregate whole-run
-    metrics, and dropping them keeps results cheap to pickle back from
-    worker processes (local or remote).
+    metrics, dropping them keeps results cheap to pickle back from
+    worker processes (local or remote), and the sweep cache refuses
+    results that carry them.  Executors always drop them.
 
     Cells whose overrides declare ``slo_target_ms`` (optionally
     ``slo_percentile``, default 99, and ``slo_metric``, default
@@ -116,21 +107,10 @@ def execute_cell(
     low-fidelity rungs of a successive-halving sweep are exactly such
     cells, executed by this same primitive on every backend.
     """
-    overrides = cell.override_dict()
-    fidelity = overrides.pop(FIDELITY_OVERRIDE_KEY, None)
-    if fidelity is not None and int(fidelity) < 1:
-        raise ValueError(
-            f"cell {cell.label()} declares a non-positive num_requests override"
-        )
-    num_requests = None if fidelity is None else int(fidelity)
-    slo = {key: overrides.pop(key, None) for key in SLO_OVERRIDE_KEYS}
-    slo_target_ms = slo["slo_target_ms"]
-    if slo_target_ms is None and any(value is not None for value in slo.values()):
-        given = sorted(key for key, value in slo.items() if value is not None)
-        raise ValueError(
-            f"cell {cell.label()} declares SLO overrides {given} "
-            "without slo_target_ms; the monitor would silently not run"
-        )
+    overrides = cell.system_overrides()
+    num_requests = cell.fidelity
+    slo = {key: value for key, value in cell.overrides if key in SLO_OVERRIDE_KEYS}
+    slo_target_ms = slo.get("slo_target_ms")
     device = context.device(cell.device)
     _, model = context.board_and_model(cell.task)
     system = build_system(
@@ -148,9 +128,9 @@ def execute_cell(
         # Only forward the keys the cell actually set, so omitted ones
         # take the monitor's own defaults (one source of truth).
         monitor_kwargs = {}
-        if slo["slo_percentile"] is not None:
+        if slo.get("slo_percentile") is not None:
             monitor_kwargs["percentile"] = float(slo["slo_percentile"])
-        if slo["slo_metric"] is not None:
+        if slo.get("slo_metric") is not None:
             monitor_kwargs["metric"] = str(slo["slo_metric"])
         monitor = SLOMonitor(target_ms=float(slo_target_ms), **monitor_kwargs)
         session = system.session(stream, observers=[monitor])
@@ -238,20 +218,16 @@ class SerialExecutor(SweepExecutor):
     The context is built lazily on first use (or borrowed from the
     caller via ``context``) and kept for the executor's lifetime, so
     repeated ``run_iter`` calls reuse boards, models and matrices.
-    This is the only executor that can keep per-request records
-    (``keep_requests``) — nothing is pickled.
     """
 
     def __init__(
         self,
         settings: Optional[EvaluationSettings] = None,
         context: Optional[EvaluationContext] = None,
-        keep_requests: bool = False,
     ) -> None:
         if context is not None and settings is None:
             settings = context.settings
         self.settings = settings if settings is not None else _experiments_base()[1]()
-        self.keep_requests = keep_requests
         self._context = context
 
     def run_iter(
@@ -261,7 +237,7 @@ class SerialExecutor(SweepExecutor):
         if self._context is None:
             self._context = _experiments_base()[0](self.settings)
         for cell in cells:
-            yield cell, execute_cell(self._context, cell, self.keep_requests)
+            yield cell, execute_cell(self._context, cell)
 
 
 class ProcessPoolExecutor(SweepExecutor):
@@ -314,17 +290,13 @@ class SweepRunner:
     context:
         Optional existing context to run on (serial mode only); lets
         the runner share caches with surrounding code.
-    keep_requests:
-        Keep per-request records on the results.  Serial mode only —
-        parallel and distributed runs always strip them before pickling.
     cache:
         Optional on-disk :class:`~repro.sweeps.cache.SweepCache`.  Cells
         present under the runner's settings fingerprint are loaded
         instead of executed; newly executed cells are persisted.  The
         distributed executor additionally shares the cache directory
         with its workers (workers write, the coordinator
-        verifies-on-load).  The cache stores request-stripped results,
-        so it is incompatible with ``keep_requests``.
+        verifies-on-load).
     hosts:
         Distributed backend: a comma-separated string or sequence of
         ``HOST:PORT`` addresses of running ``coserve-sweep-worker``
@@ -352,7 +324,6 @@ class SweepRunner:
         settings: Optional[EvaluationSettings] = None,
         jobs: int = 1,
         context: Optional[EvaluationContext] = None,
-        keep_requests: bool = False,
         cache: Optional[SweepCache] = None,
         hosts: Optional[Sequence[str]] = None,
         executor: Optional[SweepExecutor] = None,
@@ -363,7 +334,6 @@ class SweepRunner:
             settings = context.settings
         self.settings = settings if settings is not None else _experiments_base()[1]()
         self.jobs = max(1, int(jobs))
-        self.keep_requests = keep_requests
         # An *empty* hosts value is rejected loudly (by parse_hosts, via
         # DistributedExecutor) rather than falling back to serial: a
         # dynamically built host list that resolves empty should never
@@ -377,25 +347,8 @@ class SweepRunner:
                 "jobs and hosts are mutually exclusive: the sweep either fans "
                 "out over local processes or over worker hosts"
             )
-        if keep_requests and not serial and not getattr(executor, "keep_requests", False):
-            # An explicit executor that itself keeps requests is fine —
-            # the flag is then a (consistent) statement of intent.
-            raise ValueError("keep_requests is only supported for serial (jobs=1) runs")
         if context is not None and not serial:
             raise ValueError("an existing context can only back a serial (jobs=1) run")
-        if keep_requests and cache is not None:
-            raise ValueError(
-                "the sweep cache stores request-stripped results and cannot back "
-                "a keep_requests run"
-            )
-        if cache is not None and getattr(executor, "keep_requests", False):
-            # The same rule for the executor= escape hatch: caching
-            # request-laden results would poison the fingerprint for
-            # every later stripped run.
-            raise ValueError(
-                "the sweep cache stores request-stripped results and cannot back "
-                "an executor configured with keep_requests"
-            )
         if prune_fraction:
             if plan is not None:
                 raise ValueError("pass either prune_fraction or a plan, not both")
@@ -413,9 +366,7 @@ class SweepRunner:
         elif self.jobs > 1:
             self._executor = ProcessPoolExecutor(self.settings, jobs=self.jobs)
         else:
-            self._executor = SerialExecutor(
-                self.settings, context=context, keep_requests=keep_requests
-            )
+            self._executor = SerialExecutor(self.settings, context=context)
 
     @property
     def executor(self) -> SweepExecutor:

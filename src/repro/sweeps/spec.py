@@ -34,6 +34,15 @@ CellKey = Tuple[str, str, str, Tuple[Tuple[str, object], ...]]
 #: are different simulations, so rung rows cache under their own keys.
 FIDELITY_OVERRIDE_KEY = "num_requests"
 
+#: Cell overrides consumed by the runner rather than passed to the
+#: system constructor: an SLO target turns the cell into an early-abort
+#: run (an :class:`~repro.simulation.slo.SLOMonitor` stops it at the
+#: provable violation point, and the stored result is flagged
+#: ``aborted``).  They stay part of the cell *identity* — an SLO cell
+#: and its unconstrained twin are different simulations.  Omitted keys
+#: fall back to the :class:`SLOMonitor` constructor defaults.
+SLO_OVERRIDE_KEYS = ("slo_target_ms", "slo_percentile", "slo_metric")
+
 
 @dataclass(frozen=True, slots=True)
 class SweepCell:
@@ -87,6 +96,28 @@ class SweepCell:
     def override_dict(self) -> Dict[str, object]:
         """The serve-overrides as a plain keyword-argument dict."""
         return dict(self.overrides)
+
+    def system_overrides(self) -> Dict[str, object]:
+        """The overrides the system constructor receives.
+
+        Drops the fidelity and SLO keys (read through :attr:`fidelity`
+        and :data:`SLO_OVERRIDE_KEYS`), after checking them: a
+        non-positive request count, or SLO keys without
+        ``slo_target_ms`` (whose monitor would silently not run), raise
+        ``ValueError``.
+        """
+        overrides = self.override_dict()
+        fidelity = overrides.pop(FIDELITY_OVERRIDE_KEY, None)
+        if fidelity is not None and int(fidelity) < 1:  # type: ignore[call-overload]
+            raise ValueError(f"cell {self.label()} declares a non-positive num_requests override")
+        slo = {key: overrides.pop(key, None) for key in SLO_OVERRIDE_KEYS}
+        given = sorted(key for key, value in slo.items() if value is not None)
+        if given and slo["slo_target_ms"] is None:
+            raise ValueError(
+                f"cell {self.label()} declares SLO overrides {given} "
+                "without slo_target_ms; the monitor would silently not run"
+            )
+        return overrides
 
     def with_tags(self, tags: Sequence[str]) -> "SweepCell":
         """The same cell (identical identity) carrying different tags."""

@@ -55,6 +55,11 @@ class TestCoEModel:
         assert model.total_weight_bytes == expected
         assert model.weight_bytes_of(["cls/a", "det/0"]) == RESNET101.weight_bytes + YOLOV5M.weight_bytes
 
+    def test_largest_expert_bytes(self):
+        model = _make_model()
+        assert model.largest_expert_bytes == max(RESNET101.weight_bytes, YOLOV5M.weight_bytes)
+        assert model.largest_expert_bytes <= model.total_weight_bytes
+
     def test_describe(self):
         summary = _make_model().describe()
         assert summary["experts"] == 3

@@ -439,16 +439,27 @@ class TestGuardRails:
         DistributedExecutor(["10.0.0.5:7071"], settings=TINY_SETTINGS)
 
     def test_executor_escape_hatch_cannot_poison_the_cache(self, tmp_path):
-        from repro.sweeps import SerialExecutor
+        """A custom executor returning per-request records into a cached
+        run is refused at the store, so no later stripped run loads them."""
+        from repro.experiments.base import EvaluationContext
+        from repro.sweeps import execute_cell
+
+        class RequestKeepingExecutor(SweepExecutor):
+            def __init__(self):
+                self.context = EvaluationContext(TINY_SETTINGS)
+
+            def run_iter(self, cells):
+                for cell in cells:
+                    yield cell, execute_cell(self.context, cell, keep_requests=True)
 
         cache = SweepCache(str(tmp_path), TINY_SETTINGS)
-        laden = SerialExecutor(TINY_SETTINGS, keep_requests=True)
+        runner = SweepRunner(
+            settings=TINY_SETTINGS, executor=RequestKeepingExecutor(), cache=cache
+        )
+        grid = SweepGrid.single(SweepCell.make("coserve-best", "numa", "A1"))
         with pytest.raises(ValueError, match="request-stripped"):
-            SweepRunner(settings=TINY_SETTINGS, executor=laden, cache=cache)
-        # ...but a keep-requests serial executor plus the matching
-        # runner flag (no cache) is a consistent, supported combination.
-        runner = SweepRunner(settings=TINY_SETTINGS, executor=laden, keep_requests=True)
-        assert runner.executor is laden
+            runner.run(grid)
+        assert len(cache) == 0
 
     def test_terminating_one_pool_keeps_a_surviving_pools_authkey(self, grid, serial_results):
         """Overlapping pools share one generated authkey; the env export

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.metrics.collector import MetricsCollector
+from repro.metrics.collector import MetricsCollector, MetricsObserver
 from repro.metrics.report import format_mapping, format_table
+from repro.simulation import BatchStart, ExpertLoad, JobDispatch
+from repro.simulation.results import SimulationResult
 
 
 class TestMetricsCollector:
@@ -13,7 +15,6 @@ class TestMetricsCollector:
         metrics.record_scheduling(4.0)
         assert metrics.scheduling_decisions == 2
         assert metrics.total_scheduling_ms == 12.0
-        assert metrics.average_scheduling_latency_ms == 6.0
 
     def test_negative_scheduling_latency_rejected(self):
         with pytest.raises(ValueError):
@@ -21,45 +22,98 @@ class TestMetricsCollector:
 
     def test_load_classification(self):
         metrics = MetricsCollector()
-        metrics.record_load(0.0, "gpu-0", "e0", "ssd", 900.0, evicted=True)
-        metrics.record_load(1.0, "gpu-0", "e1", "cpu", 45.0, evicted=False)
+        metrics.record_load("ssd", 900.0, evicted=True)
+        metrics.record_load("cpu", 45.0, evicted=False)
         assert metrics.expert_loads == 2
         assert metrics.expert_switches == 1
         assert metrics.loads_from_ssd == 1
         assert metrics.loads_from_cache == 1
         assert metrics.total_switching_ms == 945.0
 
-    def test_initial_loads_not_counted(self):
-        metrics = MetricsCollector()
-        metrics.record_load(0.0, "gpu-0", "e0", "ssd", 0.0, evicted=False, initial=True)
-        assert metrics.expert_loads == 0
-        assert metrics.expert_switches == 0
-
     def test_execution_accumulation(self):
         metrics = MetricsCollector()
-        metrics.record_execution(0.0, "gpu-0", "e0", batch_size=4, latency_ms=20.0)
-        metrics.record_execution(1.0, "gpu-0", "e0", batch_size=2, latency_ms=12.0)
-        assert metrics.batches_executed == 2
-        assert metrics.stages_executed == 6
+        metrics.record_execution(20.0)
+        metrics.record_execution(12.0)
         assert metrics.total_execution_ms == 32.0
 
+
+class TestMetricsObserver:
+    def test_hooks_feed_the_collector(self):
+        collector = MetricsCollector()
+        observer = MetricsObserver(collector)
+        observer.on_job_dispatch(
+            JobDispatch(time_ms=0.0, job=None, executor_name="gpu-0", scheduling_latency_ms=3.0)
+        )
+        observer.on_expert_load(
+            ExpertLoad(
+                time_ms=0.0,
+                executor_name="gpu-0",
+                expert_id="e0",
+                source_tier="ssd",
+                latency_ms=900.0,
+                evicted=True,
+            )
+        )
+        observer.on_batch_start(
+            BatchStart(
+                time_ms=900.0,
+                executor_name="gpu-0",
+                expert_id="e0",
+                batch_size=4,
+                latency_ms=20.0,
+                end_ms=920.0,
+                switch_wait_ms=0.0,
+            )
+        )
+        assert collector == MetricsCollector(
+            total_execution_ms=20.0,
+            total_switching_ms=900.0,
+            total_scheduling_ms=3.0,
+            scheduling_decisions=1,
+            expert_loads=1,
+            expert_switches=1,
+            loads_from_ssd=1,
+        )
+
+    def test_negative_dispatch_latency_rejected(self):
+        """The dispatch hook inlines ``record_scheduling`` and keeps its check."""
+        observer = MetricsObserver()
+        with pytest.raises(ValueError):
+            observer.on_job_dispatch(
+                JobDispatch(time_ms=0.0, job=None, executor_name="gpu-0", scheduling_latency_ms=-1.0)
+            )
+        assert observer.collector == MetricsCollector()
+
+
+class TestResultAggregates:
+    """Run aggregates derived on the result, not kept by the collector."""
+
+    @staticmethod
+    def _result(execution_ms, switching_ms, scheduling_ms=0.0, decisions=0):
+        return SimulationResult(
+            system_name="s",
+            device_name="numa",
+            workload_name="w",
+            num_requests=1,
+            makespan_ms=100.0,
+            total_execution_ms=execution_ms,
+            total_switching_ms=switching_ms,
+            total_scheduling_ms=scheduling_ms,
+            expert_loads=0,
+            expert_switches=0,
+            loads_from_ssd=0,
+            loads_from_cache=0,
+            executors=(),
+            scheduling_decisions=decisions,
+        )
+
     def test_switching_share(self):
-        metrics = MetricsCollector()
-        assert metrics.switching_share == 0.0
-        metrics.record_execution(0.0, "gpu-0", "e0", 1, 10.0)
-        metrics.record_load(0.0, "gpu-0", "e0", "ssd", 90.0, evicted=True)
-        assert metrics.switching_share == pytest.approx(0.9)
+        assert self._result(0.0, 0.0).switching_share == 0.0
+        assert self._result(10.0, 90.0).switching_share == pytest.approx(0.9)
 
-    def test_events_only_kept_when_requested(self):
-        silent = MetricsCollector(keep_events=False)
-        silent.record_load(0.0, "gpu-0", "e0", "ssd", 1.0, evicted=False)
-        silent.record_execution(0.0, "gpu-0", "e0", 1, 1.0)
-        assert silent.load_events == [] and silent.execution_events == []
-
-        verbose = MetricsCollector(keep_events=True)
-        verbose.record_load(0.0, "gpu-0", "e0", "ssd", 1.0, evicted=False)
-        verbose.record_execution(0.0, "gpu-0", "e0", 1, 1.0)
-        assert len(verbose.load_events) == 1 and len(verbose.execution_events) == 1
+    def test_average_scheduling_latency(self):
+        assert self._result(0.0, 0.0).average_scheduling_latency_ms == 0.0
+        assert self._result(0.0, 0.0, 12.0, 2).average_scheduling_latency_ms == 6.0
 
 
 class TestReportFormatting:

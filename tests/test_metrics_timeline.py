@@ -1,17 +1,17 @@
-"""Tests for per-executor timelines built from recorded events."""
+"""Tests for per-executor timelines recorded by the timeline observer."""
 
 import pytest
 
-from repro.metrics.collector import MetricsCollector
 from repro.metrics.timeline import (
     ExecutorTimeline,
     TimelineInterval,
-    build_timelines,
+    TimelineObserver,
     utilisation_report,
 )
 from repro.policies.lru import LRUPolicy
 from repro.scheduling.fcfs import FCFSScheduling
-from repro.simulation.engine import ServingSimulation, SimulationOptions
+from repro.simulation import BatchStart, ExpertLoad
+from repro.simulation.engine import ServingSimulation
 from repro.simulation.executor import ExecutorConfig
 from repro.hardware.processor import ProcessorKind
 from repro.hardware.units import GB
@@ -57,27 +57,34 @@ class TestExecutorTimeline:
         assert ranked == [("e0", 900.0)]
 
 
-class TestBuildTimelines:
-    def test_requires_kept_events(self):
-        with pytest.raises(ValueError):
-            build_timelines(MetricsCollector(keep_events=False))
-
-    def test_initial_loads_excluded(self):
-        metrics = MetricsCollector(keep_events=True)
-        metrics.record_load(0.0, "gpu-0", "e0", "ssd", 0.0, evicted=False, initial=True)
-        metrics.record_load(5.0, "gpu-0", "e1", "ssd", 900.0, evicted=True)
-        metrics.record_execution(905.0, "gpu-0", "e1", 2, 12.0)
-        timelines = build_timelines(metrics)
-        assert len(timelines["gpu-0"].intervals) == 2
-        assert timelines["gpu-0"].intervals[0].expert_id == "e1"
-
+class TestTimelineObserver:
     def test_intervals_sorted_by_start_time(self):
-        metrics = MetricsCollector(keep_events=True)
-        metrics.record_execution(50.0, "gpu-0", "e1", 1, 10.0)
-        metrics.record_load(0.0, "gpu-0", "e1", "ssd", 40.0, evicted=False)
-        timelines = build_timelines(metrics)
+        observer = TimelineObserver()
+        observer.on_batch_start(
+            BatchStart(
+                time_ms=50.0,
+                executor_name="gpu-0",
+                expert_id="e1",
+                batch_size=1,
+                latency_ms=10.0,
+                end_ms=60.0,
+                switch_wait_ms=0.0,
+            )
+        )
+        observer.on_expert_load(
+            ExpertLoad(
+                time_ms=0.0,
+                executor_name="gpu-0",
+                expert_id="e1",
+                source_tier="ssd",
+                latency_ms=40.0,
+                evicted=False,
+            )
+        )
+        timelines = observer.timelines()
         starts = [interval.start_ms for interval in timelines["gpu-0"].intervals]
         assert starts == sorted(starts)
+        assert [interval.kind for interval in timelines["gpu-0"].intervals] == ["load", "execute"]
 
     def test_from_real_simulation_run(self, numa_device, small_model, small_stream):
         simulation = ServingSimulation(
@@ -86,10 +93,10 @@ class TestBuildTimelines:
             executor_configs=[ExecutorConfig("gpu-0", ProcessorKind.GPU, 4 * GB, 1 * GB)],
             scheduling_policy=FCFSScheduling(batch_size=4),
             eviction_policy=LRUPolicy(),
-            options=SimulationOptions(keep_metric_events=True),
         )
-        result = simulation.run(small_stream)
-        timelines = build_timelines(simulation.metrics)
+        observer = TimelineObserver()
+        result = simulation.run(small_stream, observers=[observer])
+        timelines = observer.timelines()
         assert "gpu-0" in timelines
         timeline = timelines["gpu-0"]
         # Execution time recorded in the timeline matches the aggregate metric.
@@ -97,3 +104,23 @@ class TestBuildTimelines:
         report = utilisation_report(timelines, result.makespan_ms)
         assert report[0]["executor"] == "gpu-0"
         assert 0 < report[0]["busy_%"] <= 100.0
+
+    def test_initial_loads_excluded(self, numa_device, small_model, small_stream, small_usage):
+        """Initialisation preloads happen before any session exists, so a
+        run whose working set is fully preloaded records no load interval."""
+        simulation = ServingSimulation(
+            device=numa_device,
+            model=small_model,
+            executor_configs=[ExecutorConfig("gpu-0", ProcessorKind.GPU, 10 * GB, 1 * GB)],
+            scheduling_policy=FCFSScheduling(batch_size=4),
+            eviction_policy=LRUPolicy(),
+        )
+        working_set = [e for e, p in small_usage.probabilities.items() if p > 0]
+        simulation.preload({"gpu-0": working_set})
+        assert simulation.executor("gpu-0").pool.resident_count == len(working_set)
+        observer = TimelineObserver()
+        result = simulation.run(small_stream, observers=[observer])
+        kinds = [interval.kind for interval in observer.timelines()["gpu-0"].intervals]
+        assert result.expert_loads == 0
+        assert "load" not in kinds
+        assert kinds.count("execute") == result.executor_by_name("gpu-0").batches_executed > 0

@@ -46,6 +46,27 @@ class TestFactory:
             assert system.name == label
 
 
+class TestInitialisation:
+    @pytest.mark.parametrize("name", ["coserve", "samba-coe"])
+    def test_host_cache_stages_most_used_experts_no_pool_holds(
+        self, name, numa_device, small_model, small_usage, numa_matrix
+    ):
+        system = build_system(
+            name, numa_device, small_model, small_usage, performance_matrix=numa_matrix
+        )
+        simulation = system.build_simulation()
+        pooled = {
+            expert_id
+            for executor in simulation.executors
+            for expert_id in executor.pool.resident_expert_ids()
+        }
+        cached = set(simulation.host_cache.resident_expert_ids())
+        assert pooled and cached
+        assert not pooled & cached
+        candidates = [e for e in small_usage.sorted_expert_ids() if e not in pooled]
+        assert candidates[0] in cached
+
+
 class TestSambaCoEConfiguration:
     def test_baseline_uses_single_gpu_executor(self, numa_device, small_model, small_usage, numa_matrix):
         system = SambaCoESystem.baseline(numa_device, small_model, small_usage, performance_matrix=numa_matrix)

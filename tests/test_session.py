@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hardware.units import GB
 from repro.hardware.processor import ProcessorKind
-from repro.metrics import MetricsObserver, TimelineObserver, build_timelines
+from repro.metrics import ExecutorTimeline, MetricsObserver, TimelineObserver
 from repro.policies.lru import LRUPolicy
 from repro.scheduling.fcfs import FCFSScheduling
 from repro.serving import build_system
@@ -280,20 +280,6 @@ class TestObservers:
         assert bare == legacy
         assert observed == legacy
 
-    def test_collect_metrics_can_be_disabled_via_public_api(
-        self, numa_device, small_model, small_stream
-    ):
-        """A caller supplying its own MetricsObserver(sim.metrics) must be
-        able to drop the built-in one, or every metric double-counts."""
-        legacy = make_simulation(numa_device, small_model).run(small_stream)
-        simulation = make_simulation(numa_device, small_model)
-        session = simulation.session(
-            small_stream,
-            observers=[MetricsObserver(simulation.metrics)],
-            collect_metrics=False,
-        )
-        assert session.run() == legacy
-
     def test_session_fills_simulation_metrics_like_legacy_run(
         self, numa_device, small_model, small_stream
     ):
@@ -303,13 +289,33 @@ class TestObservers:
         session_simulation.session(small_stream).run()
         assert session_simulation.metrics == legacy_simulation.metrics
 
-    def test_timeline_observer_matches_posthoc_build(self, numa_device, small_model, small_stream):
-        simulation = make_simulation(
-            numa_device, small_model, options=SimulationOptions(keep_metric_events=True)
-        )
+    def test_timeline_observer_matches_engine_counters(
+        self, numa_device, small_model, pressure_stream, pressure_usage, numa_matrix
+    ):
+        """The timeline observer accounts every load and batch the engine
+        counted, per executor, and no initialisation preload."""
+        simulation = build_system(
+            "coserve",
+            numa_device,
+            small_model,
+            pressure_usage,
+            performance_matrix=numa_matrix,
+        ).build_simulation()
+        assert simulation.host_cache is not None and len(simulation.executors) > 1
         observer = TimelineObserver()
-        simulation.session(small_stream, observers=[observer]).run()
-        assert observer.timelines() == build_timelines(simulation.metrics)
+        result = simulation.run(pressure_stream, observers=[observer])
+        assert result.loads_from_cache > 0 and result.expert_switches > 0
+        timelines = observer.timelines()
+        load_ms = 0.0
+        for summary in result.executors:
+            timeline = timelines.get(summary.name, ExecutorTimeline(summary.name, ()))
+            kinds = [interval.kind for interval in timeline.intervals]
+            assert kinds.count("execute") == summary.batches_executed
+            assert kinds.count("load") == summary.expert_loads
+            assert timeline.execution_time_ms == pytest.approx(summary.execution_busy_ms, rel=1e-9)
+            load_ms += timeline.load_time_ms
+        assert set(timelines) <= {summary.name for summary in result.executors}
+        assert load_ms == pytest.approx(result.total_switching_ms, rel=1e-9)
 
     def test_observer_added_mid_run(self, numa_device, small_model, small_stream):
         session = make_simulation(numa_device, small_model).session(small_stream)

@@ -82,6 +82,11 @@ class TestConstructionValidation:
         executors = simulation.executors
         assert executors[0].pool is not executors[1].pool
 
+    def test_options_are_keyword_only(self):
+        """A removed field must not silently shift positional arguments."""
+        with pytest.raises(TypeError):
+            SimulationOptions(False)
+
 
 class TestPreload:
     def test_preload_fills_pool_in_priority_order(self, numa_device, small_model, small_usage):

@@ -158,6 +158,15 @@ class TestMonotonicity:
             QueueingSurrogate().estimate(features[0], arrival_interval_ms=0.0)
 
 
+class TestFeatureExtraction:
+    def test_slo_keys_without_target_are_rejected(self, context):
+        """Like ``execute_cell``, the probe refuses an SLO cell whose
+        monitor would silently not run instead of scoring it."""
+        orphan = SweepCell.make("coserve", "numa", "A1", slo_percentile=50.0)
+        with pytest.raises(ValueError, match="without slo_target_ms"):
+            extract_features(context, orphan)
+
+
 #: Six systems on one (device, task) pair: enough unpinned cells for a
 #: fractional cut to bite, small enough to simulate in seconds.
 _PRUNE_SYSTEMS = (

@@ -78,6 +78,19 @@ class TestSweepCell:
         cell = SweepCell.make("s", "numa", "A1", x=1)
         assert "x=1" in cell.label()
 
+    def test_system_overrides_drop_runner_keys(self):
+        cell = SweepCell.make(
+            "s", "numa", "A1", x=1, slo_target_ms=5.0, slo_metric="service"
+        ).at_fidelity(40)
+        assert cell.system_overrides() == {"x": 1}
+        assert cell.fidelity == 40
+
+    def test_system_overrides_check_runner_keys(self):
+        with pytest.raises(ValueError, match="non-positive num_requests"):
+            SweepCell.make("s", "numa", "A1", num_requests=0).system_overrides()
+        with pytest.raises(ValueError, match="without slo_target_ms"):
+            SweepCell.make("s", "numa", "A1", slo_metric="service").system_overrides()
+
 
 class TestSweepGrid:
     def test_product_covers_cross_product(self):
@@ -160,10 +173,6 @@ class TestSweepRunner:
         out = SweepRunner(context=tiny_context).run(grid, results=results)
         assert out[grid.cells[0]] == "already-there"
 
-    def test_keep_requests_rejected_in_parallel(self):
-        with pytest.raises(ValueError):
-            SweepRunner(settings=TINY_SETTINGS, jobs=2, keep_requests=True)
-
     def test_existing_context_rejected_in_parallel(self, tiny_context):
         with pytest.raises(ValueError):
             SweepRunner(context=tiny_context, jobs=2)
@@ -171,10 +180,6 @@ class TestSweepRunner:
     def test_jobs_and_hosts_are_mutually_exclusive(self):
         with pytest.raises(ValueError, match="mutually exclusive"):
             SweepRunner(settings=TINY_SETTINGS, jobs=2, hosts=["127.0.0.1:7071"])
-
-    def test_keep_requests_rejected_in_distributed(self):
-        with pytest.raises(ValueError):
-            SweepRunner(settings=TINY_SETTINGS, hosts=["127.0.0.1:7071"], keep_requests=True)
 
     def test_explicit_executor_excludes_jobs_and_hosts(self):
         executor = SerialExecutor(TINY_SETTINGS)
@@ -368,10 +373,17 @@ class TestSweepCache:
         assert repaired_cache.stores == 1, "corrupt entry was not rewritten"
         assert SweepCache(str(tmp_path), TINY_SETTINGS).load(cell) == first
 
-    def test_cache_rejected_with_keep_requests(self, tmp_path):
+
+    def test_store_refuses_results_with_requests(self, tiny_context, tmp_path):
+        """The cache holds request-stripped results only; a request-laden
+        entry would be served to every later stripped run."""
+        cell = SweepCell.make("coserve-best", "numa", "A1")
         cache = SweepCache(str(tmp_path), TINY_SETTINGS)
-        with pytest.raises(ValueError):
-            SweepRunner(settings=TINY_SETTINGS, keep_requests=True, cache=cache)
+        with pytest.raises(ValueError, match="request-stripped"):
+            cache.store(cell, execute_cell(tiny_context, cell, keep_requests=True))
+        assert len(cache) == 0
+        cache.store(cell, execute_cell(tiny_context, cell))
+        assert len(cache) == 1
 
 
 class TestSeedPlumbing:
