@@ -1,18 +1,12 @@
-"""Result analysis: speedups, switch reductions, and paper comparison.
+"""The paper's published results, for comparison with the reproduction.
 
-The experiment harness produces :class:`~repro.simulation.results.SimulationResult`
-objects; this subpackage turns collections of them into the derived
-quantities the paper reports (throughput improvement factors, expert
-switching reductions, ablation contributions) and compares them against
-the values published in the paper's figures.
+:mod:`repro.analysis.paper_reference` transcribes the throughput and
+expert-switch values of the paper's Figures 13–16 and the speedup bands
+it claims per device, so reproduced
+:class:`~repro.simulation.results.SimulationResult` rows can be checked
+against them.
 """
 
-from repro.analysis.comparison import (
-    ablation_contributions,
-    speedup,
-    switch_reduction,
-    summarize_comparison,
-)
 from repro.analysis.paper_reference import (
     PAPER_FIGURE13_THROUGHPUT,
     PAPER_FIGURE14_SWITCHES,
@@ -22,10 +16,6 @@ from repro.analysis.paper_reference import (
 )
 
 __all__ = [
-    "speedup",
-    "switch_reduction",
-    "ablation_contributions",
-    "summarize_comparison",
     "PAPER_FIGURE13_THROUGHPUT",
     "PAPER_FIGURE14_SWITCHES",
     "PAPER_FIGURE15_THROUGHPUT",

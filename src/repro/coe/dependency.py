@@ -14,16 +14,18 @@ are the stage-1 eviction candidates.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, Set, Tuple
 
 
 class DependencyGraph:
-    """Directed graph of preliminary -> subsequent expert dependencies."""
+    """Directed acyclic graph of preliminary -> subsequent expert dependencies.
+
+    Each expert maps to the set of its direct preliminary parents; that
+    is all the expert manager asks of the graph.
+    """
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
+        self._parents: Dict[str, Set[str]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -32,18 +34,23 @@ class DependencyGraph:
         """Ensure an expert exists as a node (no dependencies yet)."""
         if not expert_id:
             raise ValueError("expert_id must be non-empty")
-        self._graph.add_node(expert_id)
+        self._parents.setdefault(expert_id, set())
 
     def add_dependency(self, preliminary: str, subsequent: str) -> None:
-        """Record that ``subsequent`` may run on the output of ``preliminary``."""
+        """Record that ``subsequent`` may run on the output of ``preliminary``.
+
+        Raises ``ValueError`` (leaving the graph unchanged) for a
+        self-dependency or for an edge that would close a cycle, i.e.
+        when ``subsequent`` is already an ancestor of ``preliminary``.
+        """
         if preliminary == subsequent:
             raise ValueError(f"expert '{preliminary}' cannot depend on itself")
-        self._graph.add_edge(preliminary, subsequent)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(preliminary, subsequent)
+        if subsequent in self._ancestors(preliminary):
             raise ValueError(
                 f"adding dependency {preliminary} -> {subsequent} would create a cycle"
             )
+        self._parents.setdefault(preliminary, set())
+        self._parents.setdefault(subsequent, set()).add(preliminary)
 
     @classmethod
     def from_pipelines(cls, pipelines: Iterable[Tuple[str, ...]]) -> "DependencyGraph":
@@ -63,39 +70,24 @@ class DependencyGraph:
     # ------------------------------------------------------------------
     @property
     def expert_ids(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._graph.nodes))
+        return tuple(sorted(self._parents))
 
     def __contains__(self, expert_id: str) -> bool:
-        return expert_id in self._graph
+        return expert_id in self._parents
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._parents)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._graph.nodes))
-
-    def dependency_count(self) -> int:
-        """Number of preliminary -> subsequent edges."""
-        return self._graph.number_of_edges()
+        return iter(sorted(self._parents))
 
     def preliminary_parents(self, expert_id: str) -> Tuple[str, ...]:
         """Experts whose output ``expert_id`` depends on (direct predecessors)."""
-        self._require(expert_id)
-        return tuple(sorted(self._graph.predecessors(expert_id)))
-
-    def subsequent_children(self, expert_id: str) -> Tuple[str, ...]:
-        """Experts that may consume the output of ``expert_id``."""
-        self._require(expert_id)
-        return tuple(sorted(self._graph.successors(expert_id)))
+        return tuple(sorted(self._require(expert_id)))
 
     def is_subsequent(self, expert_id: str) -> bool:
         """Whether the expert depends on at least one preliminary expert."""
-        self._require(expert_id)
-        return self._graph.in_degree(expert_id) > 0
-
-    def is_preliminary(self, expert_id: str) -> bool:
-        """Whether the expert can be selected directly by the router."""
-        return not self.is_subsequent(expert_id)
+        return bool(self._require(expert_id))
 
     def has_loaded_preliminary(self, expert_id: str, loaded: Set[str]) -> bool:
         """Whether any preliminary parent of ``expert_id`` is in ``loaded``.
@@ -105,24 +97,21 @@ class DependencyGraph:
         preliminary parents are resident cannot be used soon, so it is
         the best eviction candidate.
         """
-        return any(parent in loaded for parent in self.preliminary_parents(expert_id))
+        return not self._require(expert_id).isdisjoint(loaded)
 
-    def shared_subsequent_experts(self) -> Tuple[str, ...]:
-        """Subsequent experts shared by more than one preliminary expert."""
-        return tuple(
-            sorted(
-                node for node in self._graph.nodes if self._graph.in_degree(node) > 1
-            )
-        )
+    def _ancestors(self, expert_id: str) -> Set[str]:
+        """Every expert ``expert_id`` transitively depends on."""
+        seen: Set[str] = set()
+        frontier = list(self._parents.get(expert_id, ()))
+        while frontier:
+            parent = frontier.pop()
+            if parent not in seen:
+                seen.add(parent)
+                frontier.extend(self._parents[parent])
+        return seen
 
-    def topological_order(self) -> Tuple[str, ...]:
-        """Experts in a valid execution order (preliminaries first)."""
-        return tuple(nx.topological_sort(self._graph))
-
-    def to_networkx(self) -> nx.DiGraph:
-        """A copy of the underlying networkx graph (for analysis/plotting)."""
-        return self._graph.copy()
-
-    def _require(self, expert_id: str) -> None:
-        if expert_id not in self._graph:
-            raise KeyError(f"expert '{expert_id}' is not in the dependency graph")
+    def _require(self, expert_id: str) -> Set[str]:
+        try:
+            return self._parents[expert_id]
+        except KeyError:
+            raise KeyError(f"expert '{expert_id}' is not in the dependency graph") from None

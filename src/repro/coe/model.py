@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.coe.dependency import DependencyGraph
 from repro.coe.router import Router
@@ -115,24 +116,27 @@ class CoEModel:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
-    @property
+    # Cached: every system build asks for these several times, and the
+    # expert set never changes after construction.
+    @cached_property
     def total_weight_bytes(self) -> int:
         """Memory needed to hold every expert simultaneously (§2.2)."""
         return sum(expert.weight_bytes for expert in self.experts.values())
 
-    @property
+    @cached_property
     def largest_expert_bytes(self) -> int:
         """Weight bytes of the largest expert: the smallest usable pool."""
         return max(expert.weight_bytes for expert in self.experts.values())
 
     @property
+    def mean_expert_bytes(self) -> float:
+        """Mean weight bytes per expert."""
+        return self.total_weight_bytes / len(self.experts)
+
+    @property
     def total_parameters(self) -> int:
         """Total parameter count across all experts."""
         return sum(expert.architecture.parameters for expert in self.experts.values())
-
-    def weight_bytes_of(self, expert_ids: Iterable[str]) -> int:
-        """Total weight bytes of a subset of experts."""
-        return sum(self.expert(expert_id).weight_bytes for expert_id in expert_ids)
 
     def describe(self) -> Mapping[str, float]:
         """Summary statistics used in reports and examples."""

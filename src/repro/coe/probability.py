@@ -19,7 +19,8 @@ allocation search (§4.4, Figure 11).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -58,13 +59,23 @@ class UsageProfile:
 
     def sorted_expert_ids(self, descending: bool = True) -> Tuple[str, ...]:
         """Expert ids sorted by usage probability (ties broken by id)."""
+        if descending:
+            return self._descending_expert_ids
         return tuple(
             sorted(
                 self.probabilities,
-                key=lambda expert_id: (
-                    -self.probabilities[expert_id] if descending else self.probabilities[expert_id],
-                    expert_id,
-                ),
+                key=lambda expert_id: (self.probabilities[expert_id], expert_id),
+            )
+        )
+
+    @cached_property
+    def _descending_expert_ids(self) -> Tuple[str, ...]:
+        # Sorted once per profile: every system build walks this order
+        # twice (the pool and host-cache preload plans).
+        return tuple(
+            sorted(
+                self.probabilities,
+                key=lambda expert_id: (-self.probabilities[expert_id], expert_id),
             )
         )
 
@@ -87,12 +98,6 @@ class UsageProfile:
             return 0.0
         cdf = self.cdf()
         return float(cdf[min(top_n, len(cdf)) - 1])
-
-    def top_experts(self, count: int) -> Tuple[str, ...]:
-        """The ``count`` most probable experts in descending order."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return self.sorted_expert_ids(descending=True)[:count]
 
     def subset(self, expert_ids: Iterable[str]) -> "UsageProfile":
         """Restrict the profile to a subset of experts."""

@@ -16,7 +16,7 @@ usage probabilities instead of relying on runtime statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,11 +63,6 @@ class RoutingRule:
                 raise ValueError(f"continuation probability {probability} outside [0, 1]")
 
     @property
-    def preliminary_expert(self) -> str:
-        """The expert the routing module selects first."""
-        return self.pipeline[0]
-
-    @property
     def subsequent_experts(self) -> Tuple[str, ...]:
         """Experts that may run after the preliminary expert."""
         return self.pipeline[1:]
@@ -82,10 +77,6 @@ class RoutingRule:
         for probability in self.continuation_probabilities:
             reach.append(reach[-1] * probability)
         return tuple(reach)
-
-    def expected_stage_count(self) -> float:
-        """Expected number of experts a request of this category visits."""
-        return float(sum(self.stage_reach_probabilities()))
 
 
 class Router:
@@ -135,10 +126,6 @@ class Router:
         experts = {expert for rule in self._rules.values() for expert in rule.pipeline}
         return tuple(sorted(experts))
 
-    def potential_pipeline(self, category: str) -> Tuple[str, ...]:
-        """Full pipeline a category *may* traverse (all stages)."""
-        return self.rule(category).pipeline
-
     def resolve(
         self, category: str, rng: Optional[np.random.Generator] = None
     ) -> Tuple[str, ...]:
@@ -168,11 +155,3 @@ class Router:
                 break
             resolved.append(pipeline[index + 1])
         return tuple(resolved)
-
-    def categories_using(self, expert_id: str) -> Tuple[str, ...]:
-        """Categories whose pipeline may include ``expert_id``."""
-        return tuple(
-            sorted(
-                rule.category for rule in self._rules.values() if expert_id in rule.pipeline
-            )
-        )

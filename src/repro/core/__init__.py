@@ -1,8 +1,7 @@
 """CoServe core techniques (§4 of the paper).
 
-* :mod:`repro.core.config` — the configuration information produced by
-  the offline phase (§4.5): expert performance matrix, expert
-  information, user-configurable parameters.
+* :mod:`repro.core.config` — the expert performance matrix produced by
+  the offline phase (§4.5).
 * :mod:`repro.core.profiler` — the offline profiler that measures the
   performance matrix through microbenchmarks and pre-assesses expert
   usage probabilities.
@@ -18,12 +17,7 @@
   distribution of experts by descending usage probability (§4.1).
 """
 
-from repro.core.config import (
-    ConfigurationInfo,
-    ExpertPerformanceRecord,
-    PerformanceMatrix,
-    UserParameters,
-)
+from repro.core.config import ExpertPerformanceRecord, PerformanceMatrix
 from repro.core.profiler import MicrobenchmarkResult, OfflineProfiler
 from repro.core.scheduler import BatchSplitter, CoServeScheduler, LatencyPredictor
 from repro.core.expert_manager import DependencyAwareEvictionPolicy
@@ -37,10 +31,8 @@ from repro.core.memory import (
 from repro.core.initializer import round_robin_preload_plan
 
 __all__ = [
-    "ConfigurationInfo",
     "ExpertPerformanceRecord",
     "PerformanceMatrix",
-    "UserParameters",
     "MicrobenchmarkResult",
     "OfflineProfiler",
     "BatchSplitter",

@@ -1,25 +1,19 @@
-"""Configuration information produced by the offline phase (§4.5).
+"""Expert performance metrics produced by the offline phase (§4.5).
 
-The offline profiler generates three kinds of configuration
-information:
-
-* **expert performance metrics** — per (architecture, processor):
-  maximum batch size, execution latency constants ``K``/``B``, loading
-  latency per source tier, memory footprint and the normalised memory
-  score;
-* **expert information** — the routing rules (owned by the CoE model)
-  and the pre-assessed usage probabilities;
-* **user-configurable parameters** — memory scores allocated to expert
-  loading and the number of executors, which users may override instead
-  of relying on the automatic search.
+The offline profiler measures, per (architecture, processor), the
+maximum batch size, the execution latency constants ``K``/``B``, the
+loading latency per source tier, the memory footprint and the
+normalised memory score.  The other offline outputs live elsewhere:
+the routing rules in the CoE model, the pre-assessed usage
+probabilities in :class:`~repro.coe.probability.UsageProfile`, and the
+executor and memory parameters on the serving systems' constructors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.coe.probability import UsageProfile
 from repro.hardware.processor import ProcessorKind
 
 
@@ -57,9 +51,6 @@ class ExpertPerformanceRecord:
             raise ValueError("batch_size must be positive")
         return self.k_ms * batch_size + self.b_ms
 
-    def predicted_average_latency_ms(self, batch_size: int) -> float:
-        return self.predicted_execution_latency_ms(batch_size) / batch_size
-
     def load_latency_from(self, source_tier: str, default: Optional[float] = None) -> float:
         """Predicted expert switching latency from a source tier."""
         if source_tier in self.load_latency_ms:
@@ -88,9 +79,6 @@ class PerformanceMatrix:
                 f"no performance record for '{architecture}' on '{processor.value}'"
             ) from None
 
-    def has_record(self, architecture: str, processor: ProcessorKind) -> bool:
-        return (architecture, processor) in self._records
-
     @property
     def architectures(self) -> Tuple[str, ...]:
         return tuple(sorted({architecture for architecture, _ in self._records}))
@@ -111,49 +99,3 @@ class PerformanceMatrix:
 
     def max_batch_size(self, architecture: str, processor: ProcessorKind) -> int:
         return self.record(architecture, processor).max_batch_size
-
-    def mean_weight_bytes(self) -> float:
-        """Average expert weight size across architectures."""
-        weights: Dict[str, int] = {}
-        for (architecture, _), record in self._records.items():
-            weights.setdefault(architecture, record.weight_bytes)
-        return sum(weights.values()) / len(weights)
-
-
-@dataclass(frozen=True)
-class UserParameters:
-    """User-configurable overrides (§4.5).
-
-    ``None`` means "let the offline profiler decide".
-    """
-
-    gpu_executors: Optional[int] = None
-    cpu_executors: Optional[int] = None
-    gpu_expert_memory_fraction: Optional[float] = None
-    gpu_expert_count: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.gpu_executors is not None and self.gpu_executors < 0:
-            raise ValueError("gpu_executors must be non-negative")
-        if self.cpu_executors is not None and self.cpu_executors < 0:
-            raise ValueError("cpu_executors must be non-negative")
-        if self.gpu_expert_memory_fraction is not None and not (
-            0.0 < self.gpu_expert_memory_fraction < 1.0
-        ):
-            raise ValueError("gpu_expert_memory_fraction must be in (0, 1)")
-        if self.gpu_expert_count is not None and self.gpu_expert_count <= 0:
-            raise ValueError("gpu_expert_count must be positive")
-
-
-@dataclass(frozen=True)
-class ConfigurationInfo:
-    """Everything the online phase needs from the offline phase."""
-
-    performance_matrix: PerformanceMatrix
-    usage_profile: UsageProfile
-    user_parameters: UserParameters = field(default_factory=UserParameters)
-    scheduling_latency_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.scheduling_latency_ms < 0:
-            raise ValueError("scheduling_latency_ms must be non-negative")

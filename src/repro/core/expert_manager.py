@@ -20,7 +20,7 @@ the experts (§2.1).
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile
@@ -32,15 +32,9 @@ class DependencyAwareEvictionPolicy(EvictionPolicy):
 
     name = "dependency-aware"
 
-    def __init__(
-        self,
-        model: CoEModel,
-        usage_profile: UsageProfile,
-        protect_queued: bool = False,
-    ) -> None:
+    def __init__(self, model: CoEModel, usage_profile: UsageProfile) -> None:
         self._model = model
         self._usage = usage_profile
-        self._protect_queued = protect_queued
 
     def _memory_footprint(self, expert_id: str) -> int:
         return self._model.expert(expert_id).weight_bytes
@@ -53,11 +47,6 @@ class DependencyAwareEvictionPolicy(EvictionPolicy):
         assert graph is not None
         evictable = list(context.evictable())
         resident: Set[str] = set(context.resident_expert_ids)
-
-        def queued_penalty(expert_id: str) -> int:
-            if not self._protect_queued:
-                return 0
-            return 1 if expert_id in context.queued_expert_ids else 0
 
         stage_one: List[str] = []
         stage_two: List[str] = []
@@ -72,23 +61,13 @@ class DependencyAwareEvictionPolicy(EvictionPolicy):
             else:
                 stage_two.append(expert_id)
 
-        # Stage 1: descending memory footprint (Figure 10, stage 1);
-        # experts still demanded by queued requests go last within the
-        # stage when queue protection is enabled.
+        # Stage 1: descending memory footprint (Figure 10, stage 1).
         def stage_one_key(expert_id: str):
-            return (
-                queued_penalty(expert_id),
-                -self._memory_footprint(expert_id),
-                expert_id,
-            )
+            return (-self._memory_footprint(expert_id), expert_id)
 
         # Stage 2: ascending pre-assessed usage probability.
         def stage_two_key(expert_id: str):
-            return (
-                queued_penalty(expert_id),
-                self._usage_probability(expert_id),
-                expert_id,
-            )
+            return (self._usage_probability(expert_id), expert_id)
 
         bytes_to_free = context.bytes_to_free
         sizes = context.resident_bytes

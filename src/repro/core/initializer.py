@@ -32,24 +32,25 @@ def round_robin_preload_plan(
     remaining: Dict[str, int] = {config.name: config.expert_pool_bytes for config in executor_configs}
     names = [config.name for config in executor_configs]
 
+    count = len(names)
+    largest_space = max(remaining.values())
     cursor = 0
     for expert_id in usage_profile.sorted_expert_ids(descending=True):
         if expert_id not in model:
             continue
         weight = model.expert(expert_id).weight_bytes
-        placed = False
-        for attempt in range(len(names)):
-            name = names[(cursor + attempt) % len(names)]
-            if remaining[name] >= weight:
-                plan[name].append(expert_id)
-                remaining[name] -= weight
-                cursor = (cursor + attempt + 1) % len(names)
-                placed = True
-                break
-        if not placed and all(space < weight for space in remaining.values()):
+        if weight > largest_space:
             # No executor can take this expert; smaller experts further
             # down the probability order may still fit, so keep going.
             continue
+        for attempt in range(count):
+            name = names[(cursor + attempt) % count]
+            if remaining[name] >= weight:
+                plan[name].append(expert_id)
+                remaining[name] -= weight
+                largest_space = max(remaining.values())
+                cursor = (cursor + attempt + 1) % count
+                break
     return plan
 
 

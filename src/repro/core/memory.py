@@ -19,7 +19,7 @@ Two strategies are provided, matching the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,11 +39,6 @@ class MemoryPlan:
             raise ValueError("memory plan components must be non-negative")
         if self.expert_pool_bytes + self.activation_bytes > self.total_bytes:
             raise ValueError("memory plan exceeds the total budget")
-
-    @property
-    def slack_bytes(self) -> int:
-        """Budget left unassigned (kept as headroom)."""
-        return self.total_bytes - self.expert_pool_bytes - self.activation_bytes
 
 
 def limited_compute_plan(
@@ -120,14 +115,6 @@ class DecayWindowResult:
     selected_throughput: float
     trace: Tuple[Tuple[int, float], ...]
     linear_error: float
-
-    @property
-    def evaluated_counts(self) -> Tuple[int, ...]:
-        return tuple(count for count, _ in self.trace)
-
-    @property
-    def evaluated_throughputs(self) -> Tuple[float, ...]:
-        return tuple(throughput for _, throughput in self.trace)
 
 
 class DecayWindowSearch:

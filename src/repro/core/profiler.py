@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile, compute_usage_profile, empirical_usage_profile
-from repro.core.config import ConfigurationInfo, ExpertPerformanceRecord, PerformanceMatrix, UserParameters
+from repro.core.config import ExpertPerformanceRecord, PerformanceMatrix
 from repro.hardware.device import Device
 from repro.hardware.memory import MemoryTier
 from repro.hardware.processor import ProcessorKind
@@ -209,19 +209,3 @@ class OfflineProfiler:
         if category_weights is None:
             raise ValueError("either category_weights or observed_pipelines is required")
         return compute_usage_profile(self.model, category_weights)
-
-    def build_configuration(
-        self,
-        category_weights: Optional[Mapping[str, float]] = None,
-        observed_pipelines: Optional[Iterable[Sequence[str]]] = None,
-        user_parameters: Optional[UserParameters] = None,
-        scheduling_latency_ms: float = 0.0,
-        batch_sizes: Optional[Sequence[int]] = None,
-    ) -> ConfigurationInfo:
-        """Assemble the full configuration information object."""
-        return ConfigurationInfo(
-            performance_matrix=self.build_performance_matrix(batch_sizes),
-            usage_profile=self.estimate_usage_profile(category_weights, observed_pipelines),
-            user_parameters=user_parameters or UserParameters(),
-            scheduling_latency_ms=scheduling_latency_ms,
-        )

@@ -27,7 +27,7 @@ built (§5.3).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.coe.model import CoEModel
 from repro.core.config import ExpertPerformanceRecord, PerformanceMatrix
@@ -39,6 +39,9 @@ from repro.simulation.request import StageJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.engine import ServingSimulation
+
+_SSD = MemoryTier.SSD.value
+_CPU = MemoryTier.CPU.value
 
 
 class _RecordCache:
@@ -85,30 +88,52 @@ class LatencyPredictor:
         """
         simulation = self._simulation
         if simulation is None:
-            return MemoryTier.SSD.value
+            return _SSD
         if simulation.host_cache is not None and simulation.host_cache.contains(expert_id):
-            return MemoryTier.CPU.value
+            return _CPU
         tier = simulation.residency.best_source_tier(expert_id, exclude_pool=executor.pool)
-        return tier.value if tier is not None else MemoryTier.SSD.value
+        return tier.value if tier is not None else _SSD
 
     def additional_latency_ms(self, executor: Executor, job: StageJob, now_ms: float) -> float:
         """Predicted additional latency of appending ``job`` to ``executor``."""
-        expert_id = job.expert_id
-        record = self._records.record_for_expert(expert_id, executor.kind)
+        return self.additional_latencies_ms((executor,), job.expert_id)[0]
 
-        # A job joining an existing same-expert group only costs K and
-        # can never trigger a load; otherwise it costs K + B plus the
-        # switching latency from wherever the expert currently sits.
-        if executor.queue.contains_expert(expert_id):
-            return record.k_ms
-        execution = record.k_ms + record.b_ms
-        if executor.pool.contains(expert_id):
-            return execution
-        source_tier = self._expert_location_tier(executor, expert_id)
-        switching = record.load_latency_ms.get(source_tier)
-        if switching is None:
-            switching = record.load_latency_from(MemoryTier.SSD.value)
-        return execution + switching
+    def additional_latencies_ms(
+        self, executors: Sequence[Executor], expert_id: str
+    ) -> List[float]:
+        """:meth:`additional_latency_ms` of a job for ``expert_id`` on each executor.
+
+        One pass serves a whole assigning decision.  Executors sharing a
+        model pool (and processor kind) share the performance record and
+        the cost of a job that starts a new group, so both are resolved
+        once per pool rather than once per executor.
+        """
+        record_for_expert = self._records.record_for_expert
+        latencies: List[float] = []
+        pool = kind = record = new_group = None
+        for executor in executors:
+            if executor.pool is not pool or executor.kind is not kind:
+                pool = executor.pool
+                kind = executor.kind
+                record = record_for_expert(expert_id, kind)
+                new_group = None
+            # A job joining an existing same-expert group only costs K and
+            # can never trigger a load; otherwise it costs K + B plus the
+            # switching latency from wherever the expert currently sits.
+            if executor.queue.contains_expert(expert_id):
+                latencies.append(record.k_ms)
+                continue
+            if new_group is None:
+                new_group = record.k_ms + record.b_ms
+                if not pool.contains(expert_id):
+                    switching = record.load_latency_ms.get(
+                        self._expert_location_tier(executor, expert_id)
+                    )
+                    if switching is None:
+                        switching = record.load_latency_from(_SSD)
+                    new_group += switching
+            latencies.append(new_group)
+        return latencies
 
 
 class BatchSplitter:
@@ -240,9 +265,12 @@ class CoServeScheduler(SchedulingPolicy):
         """Pick the queue minimising the total inference time, in O(E).
 
         The candidate total for executor *i* is
-        ``max(max_{j≠i} finish_j, finish_i + additional_i)``; computing
-        the top-2 finish times once replaces the per-candidate
-        max-over-others loop (which made each decision O(E²)).
+        ``max(max_{j≠i} finish_j, finish_i + additional_i)``.  Additional
+        latencies are non-negative, so this equals
+        ``max(busiest, finish_i + additional_i)`` with ``busiest`` the
+        largest finish of all: the busiest queue only grows when it is
+        the one chosen.  Ties go to the smaller additional latency, then
+        to the executor name.
         """
         if len(executors) == 1:
             executor = executors[0]
@@ -253,33 +281,25 @@ class CoServeScheduler(SchedulingPolicy):
             )
             return executor
 
+        additionals = self._predictor.additional_latencies_ms(executors, job.expert_id)
         finishes = [executor.estimated_finish_ms(now_ms) for executor in executors]
-        additionals = [
-            self._predictor.additional_latency_ms(executor, job, now_ms)
-            for executor in executors
-        ]
-
-        max1 = max2 = float("-inf")
-        max1_index = -1
-        for index, finish in enumerate(finishes):
-            if finish > max1:
-                max2 = max1
-                max1 = finish
-                max1_index = index
-            elif finish > max2:
-                max2 = finish
-
-        best_executor: Optional[Executor] = None
-        best_key: Optional[tuple] = None
-        best_index = -1
-        for index, executor in enumerate(executors):
-            others_max = max2 if index == max1_index else max1
-            candidate_total = max(others_max, finishes[index] + additionals[index])
-            key = (candidate_total, additionals[index], executor.name)
-            if best_key is None or key < best_key:
-                best_key = key
+        busiest = max(finishes)
+        best_executor = executors[0]
+        best_additional = additionals[0]
+        best_total = max(busiest, finishes[0] + best_additional)
+        for executor, finish, additional in zip(executors, finishes, additionals):
+            total = finish + additional
+            if total < busiest:
+                total = busiest
+            if total < best_total or (
+                total == best_total
+                and (
+                    additional < best_additional
+                    or (additional == best_additional and executor.name < best_executor.name)
+                )
+            ):
                 best_executor = executor
-                best_index = index
-        assert best_executor is not None
-        self._last_prediction = (job, best_executor, additionals[best_index])
+                best_total = total
+                best_additional = additional
+        self._last_prediction = (job, best_executor, best_additional)
         return best_executor

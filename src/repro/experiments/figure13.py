@@ -16,9 +16,7 @@ from repro.sweeps import SweepGrid, SweepResults, ensure_results
 def sweep_grid(settings: EvaluationSettings) -> SweepGrid:
     """Serving cells this figure needs: every comparison system on every
     (device, task) pair of the settings."""
-    return SweepGrid.product(
-        COMPARISON_SYSTEMS, settings.devices, settings.task_names, tags=("figure13",)
-    )
+    return SweepGrid.product(COMPARISON_SYSTEMS, settings.devices, settings.task_names)
 
 
 def run_figure13(

@@ -15,9 +15,7 @@ from repro.sweeps import SweepGrid, SweepResults, ensure_results
 
 def sweep_grid(settings: EvaluationSettings) -> SweepGrid:
     """Same serving cells as Figure 13 — the union deduplicates them."""
-    return SweepGrid.product(
-        COMPARISON_SYSTEMS, settings.devices, settings.task_names, tags=("figure14",)
-    )
+    return SweepGrid.product(COMPARISON_SYSTEMS, settings.devices, settings.task_names)
 
 
 def run_figure14(

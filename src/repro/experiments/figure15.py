@@ -15,9 +15,7 @@ from repro.sweeps import SweepGrid, SweepResults, ensure_results
 
 def sweep_grid(settings: EvaluationSettings) -> SweepGrid:
     """Ablation cells — shared with Figure 16 via grid union."""
-    return SweepGrid.product(
-        ABLATION_SYSTEMS, settings.devices, settings.task_names, tags=("figure15",)
-    )
+    return SweepGrid.product(ABLATION_SYSTEMS, settings.devices, settings.task_names)
 
 
 def run_figure15(

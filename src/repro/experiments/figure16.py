@@ -15,9 +15,7 @@ from repro.sweeps import SweepGrid, SweepResults, ensure_results
 
 def sweep_grid(settings: EvaluationSettings) -> SweepGrid:
     """Same ablation cells as Figure 15 — the union deduplicates them."""
-    return SweepGrid.product(
-        ABLATION_SYSTEMS, settings.devices, settings.task_names, tags=("figure16",)
-    )
+    return SweepGrid.product(ABLATION_SYSTEMS, settings.devices, settings.task_names)
 
 
 def run_figure16(

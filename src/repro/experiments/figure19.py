@@ -23,15 +23,9 @@ def sweep_grid(settings: EvaluationSettings) -> SweepGrid:
         for task_name in _FIGURE19_TASKS:
             if task_name not in settings.task_names:
                 continue
-            cells.append(SweepCell.make("coserve-best", device_name, task_name, tags=("figure19",)))
+            cells.append(SweepCell.make("coserve-best", device_name, task_name))
             cells.append(
-                SweepCell.make(
-                    "coserve-best",
-                    device_name,
-                    task_name,
-                    tags=("figure19",),
-                    scheduling_latency_ms=0.0,
-                )
+                SweepCell.make("coserve-best", device_name, task_name, scheduling_latency_ms=0.0)
             )
     return SweepGrid(tuple(cells))
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.hardware.units import MB
-
 
 class ExpertTask(str, enum.Enum):
     """The kind of inference an expert performs."""
@@ -80,11 +78,6 @@ class ExpertArchitecture:
             weight_bytes=parameters * BYTES_PER_PARAMETER,
             gflops_per_sample=gflops_per_sample,
         )
-
-    @property
-    def weight_megabytes(self) -> float:
-        """Serialised weight size in MB (decimal)."""
-        return self.weight_bytes / MB
 
     def __str__(self) -> str:
         return self.name

@@ -62,13 +62,5 @@ class Expert:
         """Name of the expert's architecture."""
         return self.architecture.name
 
-    @property
-    def is_preliminary(self) -> bool:
-        return self.role is ExpertRole.PRELIMINARY
-
-    @property
-    def is_subsequent(self) -> bool:
-        return self.role is ExpertRole.SUBSEQUENT
-
     def __str__(self) -> str:
         return self.expert_id

@@ -16,7 +16,7 @@ latency for each expert architecture.  The discrete-event simulator in
 """
 
 from repro.hardware.units import KB, MB, GB, bytes_to_mb, bytes_to_gb
-from repro.hardware.memory import MemoryRegion, MemoryTier, InsufficientMemoryError
+from repro.hardware.memory import MemoryRegion, MemoryTier
 from repro.hardware.storage import StorageDevice
 from repro.hardware.interconnect import Interconnect
 from repro.hardware.processor import Processor, ProcessorKind
@@ -31,7 +31,6 @@ __all__ = [
     "bytes_to_gb",
     "MemoryRegion",
     "MemoryTier",
-    "InsufficientMemoryError",
     "StorageDevice",
     "Interconnect",
     "Processor",

@@ -209,29 +209,8 @@ class Device:
         return self.performance.activation_bytes(architecture, processor, batch_size)
 
     # ------------------------------------------------------------------
-    # Construction helpers
+    # Reporting
     # ------------------------------------------------------------------
-    def fresh_clone(self) -> "Device":
-        """Return a copy of this device with empty memory regions.
-
-        Serving-system runs mutate memory-region bookkeeping; cloning
-        lets experiments reuse a preset without sharing state.
-        """
-        regions = {
-            tier: MemoryRegion(name=region.name, tier=region.tier, capacity_bytes=region.capacity_bytes)
-            for tier, region in self.memory_regions.items()
-        }
-        return Device(
-            name=self.name,
-            architecture=self.architecture,
-            processors=dict(self.processors),
-            memory_regions=regions,
-            storage=self.storage,
-            interconnects=dict(self.interconnects),
-            performance=self.performance,
-            ssd_load_factor=self.ssd_load_factor,
-        )
-
     def describe(self) -> Mapping[str, str]:
         """A flat description of the device for reports (Table 1)."""
         rows = {

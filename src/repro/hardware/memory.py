@@ -1,19 +1,16 @@
 """Memory regions and tiers.
 
-A :class:`MemoryRegion` is a bookkeeping object that tracks named
-allocations against a fixed capacity.  Model pools and batch-inference
-buffers allocate from memory regions; the region enforces the capacity
-and exposes utilisation numbers used by the memory allocator (§4.4 of
-the paper) and by the metrics collector.
+A :class:`MemoryRegion` names one fixed-capacity memory of a device and
+the tier it belongs to.  It only describes the hardware: the memory
+allocator (§4.4 of the paper) splits a region's capacity between model
+pools, and the model pools and host caches of a simulation count the
+bytes they hold themselves.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict
-
-from repro.hardware.units import bytes_to_gb
+from dataclasses import dataclass
 
 
 class MemoryTier(str, enum.Enum):
@@ -24,30 +21,10 @@ class MemoryTier(str, enum.Enum):
     UNIFIED = "unified"
     SSD = "ssd"
 
-    @property
-    def is_volatile(self) -> bool:
-        """Whether the tier is working memory (as opposed to storage)."""
-        return self is not MemoryTier.SSD
 
-
-class InsufficientMemoryError(RuntimeError):
-    """Raised when an allocation does not fit in a memory region."""
-
-    def __init__(self, region: "MemoryRegion", tag: str, requested: int) -> None:
-        self.region_name = region.name
-        self.tag = tag
-        self.requested = requested
-        self.available = region.free_bytes
-        super().__init__(
-            f"cannot allocate {requested} bytes for '{tag}' in region "
-            f"'{region.name}': only {region.free_bytes} bytes free of "
-            f"{region.capacity_bytes}"
-        )
-
-
-@dataclass
+@dataclass(frozen=True)
 class MemoryRegion:
-    """A fixed-capacity memory region with named allocations.
+    """A fixed-capacity memory region of a device.
 
     Parameters
     ----------
@@ -62,87 +39,7 @@ class MemoryRegion:
     name: str
     tier: MemoryTier
     capacity_bytes: int
-    _allocations: Dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity_bytes < 0:
             raise ValueError(f"capacity_bytes must be non-negative, got {self.capacity_bytes}")
-
-    @property
-    def used_bytes(self) -> int:
-        """Total bytes currently allocated."""
-        return sum(self._allocations.values())
-
-    @property
-    def free_bytes(self) -> int:
-        """Bytes still available for allocation."""
-        return self.capacity_bytes - self.used_bytes
-
-    @property
-    def utilisation(self) -> float:
-        """Fraction of the capacity currently in use (0 when capacity is 0)."""
-        if self.capacity_bytes == 0:
-            return 0.0
-        return self.used_bytes / self.capacity_bytes
-
-    def holds(self, tag: str) -> bool:
-        """Whether an allocation with this tag exists."""
-        return tag in self._allocations
-
-    def allocation_size(self, tag: str) -> int:
-        """Size in bytes of an existing allocation."""
-        return self._allocations[tag]
-
-    def can_fit(self, num_bytes: int) -> bool:
-        """Whether an allocation of ``num_bytes`` would currently fit."""
-        return num_bytes <= self.free_bytes
-
-    def allocate(self, tag: str, num_bytes: int) -> None:
-        """Allocate ``num_bytes`` under ``tag``.
-
-        Raises
-        ------
-        InsufficientMemoryError
-            If the allocation does not fit.
-        ValueError
-            If ``tag`` is already allocated or ``num_bytes`` is negative.
-        """
-        if num_bytes < 0:
-            raise ValueError(f"num_bytes must be non-negative, got {num_bytes}")
-        if tag in self._allocations:
-            raise ValueError(f"tag '{tag}' is already allocated in region '{self.name}'")
-        if not self.can_fit(num_bytes):
-            raise InsufficientMemoryError(self, tag, num_bytes)
-        self._allocations[tag] = num_bytes
-
-    def free(self, tag: str) -> int:
-        """Release the allocation under ``tag`` and return its size."""
-        if tag not in self._allocations:
-            raise KeyError(f"tag '{tag}' is not allocated in region '{self.name}'")
-        return self._allocations.pop(tag)
-
-    def resize(self, tag: str, num_bytes: int) -> None:
-        """Resize an existing allocation, enforcing the capacity."""
-        if tag not in self._allocations:
-            raise KeyError(f"tag '{tag}' is not allocated in region '{self.name}'")
-        if num_bytes < 0:
-            raise ValueError(f"num_bytes must be non-negative, got {num_bytes}")
-        delta = num_bytes - self._allocations[tag]
-        if delta > self.free_bytes:
-            raise InsufficientMemoryError(self, tag, num_bytes)
-        self._allocations[tag] = num_bytes
-
-    def clear(self) -> None:
-        """Drop every allocation."""
-        self._allocations.clear()
-
-    def snapshot(self) -> Dict[str, int]:
-        """Return a copy of the current allocation map."""
-        return dict(self._allocations)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MemoryRegion(name={self.name!r}, tier={self.tier.value}, "
-            f"used={bytes_to_gb(self.used_bytes):.2f}GB/"
-            f"{bytes_to_gb(self.capacity_bytes):.2f}GB)"
-        )

@@ -111,9 +111,6 @@ class DevicePerformanceModel:
     def keys(self) -> Iterable[ProfileKey]:
         return self._profiles.keys()
 
-    def has_profile(self, architecture: str, processor: ProcessorKind) -> bool:
-        return (architecture, processor) in self._profiles
-
     def profile(self, architecture: str, processor: ProcessorKind) -> ExecutionProfile:
         """Return the profile for an (architecture, processor) pair."""
         try:

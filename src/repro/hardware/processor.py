@@ -53,11 +53,3 @@ class Processor:
             raise ValueError("cores must be positive")
         if self.peak_tflops < 0:
             raise ValueError("peak_tflops must be non-negative")
-
-    @property
-    def is_gpu(self) -> bool:
-        return self.kind is ProcessorKind.GPU
-
-    @property
-    def is_cpu(self) -> bool:
-        return self.kind is ProcessorKind.CPU

@@ -34,7 +34,3 @@ def mb_per_second_to_bytes_per_ms(mb_per_s: float) -> float:
     """Convert a bandwidth in MB/s to bytes per millisecond."""
     return mb_per_s * MB / SECOND_MS
 
-
-def ms_to_seconds(milliseconds: float) -> float:
-    """Convert milliseconds to seconds."""
-    return milliseconds / SECOND_MS

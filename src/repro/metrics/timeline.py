@@ -71,15 +71,6 @@ class ExecutorTimeline:
             return 0.0
         return self.load_time_ms / self.busy_time_ms
 
-    def top_loaded_experts(self, count: int = 5) -> List[Tuple[str, float]]:
-        """Experts ranked by total time spent loading them on this executor."""
-        totals: Dict[str, float] = {}
-        for interval in self.intervals:
-            if interval.kind == "load":
-                totals[interval.expert_id] = totals.get(interval.expert_id, 0.0) + interval.duration_ms
-        ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:count]
-
 
 class TimelineObserver:
     """Builds per-executor timelines live from session events.

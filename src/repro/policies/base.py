@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 
@@ -34,11 +34,6 @@ class EvictionContext:
     protected_expert_ids:
         Experts that must not be evicted (e.g. experts currently being
         executed by an executor sharing the pool).
-    queued_expert_ids:
-        Experts required by jobs still waiting in the executor's queue;
-        smarter policies prefer not to evict these.  May be any set-like
-        collection with O(1) membership — the engine passes the queue's
-        live expert view to avoid materialising a set per eviction.
     now_ms:
         Current virtual time.
     bytes_to_free:
@@ -57,7 +52,6 @@ class EvictionContext:
     resident_expert_ids: Tuple[str, ...]
     incoming_expert_id: str
     protected_expert_ids: AbstractSet[str] = frozenset()
-    queued_expert_ids: AbstractSet[str] = frozenset()
     now_ms: float = 0.0
     bytes_to_free: Optional[int] = None
     resident_bytes: Optional[Mapping[str, int]] = None

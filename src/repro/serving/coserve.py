@@ -188,9 +188,6 @@ class CoServeSystem(ServingSystem):
     # ------------------------------------------------------------------
     # Simulation construction
     # ------------------------------------------------------------------
-    def _mean_expert_bytes(self) -> float:
-        return self.model.total_weight_bytes / len(self.model)
-
     def _gpu_executor_configs(self, matrix: PerformanceMatrix, gpu_budget: int) -> List[ExecutorConfig]:
         per_executor_total = gpu_budget // self.gpu_executors
         gpu_records = [
@@ -202,7 +199,7 @@ class CoServeSystem(ServingSystem):
             pool_bytes = plan.expert_pool_bytes
         else:
             total_pool = split_capacity_by_expert_count(
-                gpu_budget, self.gpu_expert_count, self._mean_expert_bytes()
+                gpu_budget, self.gpu_expert_count, self.model.mean_expert_bytes
             ).expert_pool_bytes
             pool_bytes = total_pool // self.gpu_executors
         pool_bytes, activation_bytes = clamp_expert_pool(

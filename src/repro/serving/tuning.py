@@ -17,7 +17,7 @@ dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile
@@ -25,7 +25,12 @@ from repro.core.config import PerformanceMatrix
 from repro.core.memory import DecayWindowResult, DecayWindowSearch
 from repro.core.profiler import OfflineProfiler
 from repro.hardware.device import Device
-from repro.serving.coserve import CoServeSystem
+from repro.serving.coserve import (
+    DEFAULT_CPU_EXECUTORS,
+    DEFAULT_GPU_EXECUTORS,
+    CoServeSystem,
+)
+from repro.serving.layout import usable_device_budget
 from repro.workload.generator import RequestStream
 
 
@@ -94,14 +99,16 @@ def run_memory_allocation_search(
         performance_matrix = OfflineProfiler(device, model).build_performance_matrix()
     search = search or DecayWindowSearch(initial_window=15, error_margin=0.05)
 
-    largest_expert = model.largest_expert_bytes
-    mean_expert = model.total_weight_bytes / len(model)
-    from repro.serving.layout import usable_device_budget  # local import to avoid cycle at module load
-
-    budget = usable_device_budget(device, cpu_executors if cpu_executors is not None else 1)
-    n_gpu = gpu_executors if gpu_executors is not None else (3 if not device.is_uma else 2)
+    # Bound the search for the executor mix the measured systems use:
+    # CoServe's own defaults unless the caller fixes the counts.
+    arch = device.architecture.value
+    n_gpu = gpu_executors if gpu_executors is not None else DEFAULT_GPU_EXECUTORS[arch]
+    n_cpu = cpu_executors if cpu_executors is not None else DEFAULT_CPU_EXECUTORS[arch]
+    budget = usable_device_budget(device, n_cpu)
     # Leave one largest-expert's worth of activation memory per executor.
-    max_expert_count = int((budget.gpu_bytes - n_gpu * largest_expert) // mean_expert)
+    max_expert_count = int(
+        (budget.gpu_bytes - n_gpu * model.largest_expert_bytes) // model.mean_expert_bytes
+    )
     max_expert_count = max(n_gpu, max_expert_count)
 
     def throughput_fn(count: int) -> float:

@@ -194,7 +194,6 @@ class ServingSimulation:
                 self._io_resources[tier] = SerialResource(name=f"io-{tier.value}")
 
         self.metrics = MetricsCollector()
-        self._preload_plan: Dict[str, Tuple[str, ...]] = {}
         #: The session currently driving this deployment (one per build).
         self._session: Optional[SimulationSession] = None
 
@@ -254,9 +253,6 @@ class ServingSimulation:
         except KeyError:
             raise KeyError(f"no executor named '{name}'") from None
 
-    def executors_of_kind(self, kind: ProcessorKind) -> Tuple[Executor, ...]:
-        return tuple(executor for executor in self._executors if executor.kind is kind)
-
     def preload(self, plan: Mapping[str, Sequence[str]]) -> None:
         """Load experts into executor pools during system initialisation.
 
@@ -269,7 +265,6 @@ class ServingSimulation:
         """
         for executor_name, expert_ids in plan.items():
             executor = self.executor(executor_name)
-            loaded: List[str] = []
             for expert_id in expert_ids:
                 expert = self.model.expert(expert_id)
                 if executor.pool.contains(expert_id):
@@ -278,8 +273,6 @@ class ServingSimulation:
                     continue
                 executor.pool.load(expert_id, expert.weight_bytes)
                 self.eviction_policy.record_load(executor.pool.name, expert_id, 0.0)
-                loaded.append(expert_id)
-            self._preload_plan[executor_name] = tuple(loaded)
 
     def preload_host_cache(self, expert_ids: Sequence[str]) -> None:
         """Stage experts in the CPU-memory cache during initialisation.

@@ -73,10 +73,6 @@ class ModelPool:
     def __len__(self) -> int:
         return len(self._resident)
 
-    def size_of(self, expert_id: str) -> int:
-        """Bytes occupied by a resident expert."""
-        return self._resident[expert_id]
-
     def can_fit(self, num_bytes: int) -> bool:
         return num_bytes <= self.capacity_bytes - self._used_bytes
 

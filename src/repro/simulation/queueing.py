@@ -34,7 +34,7 @@ the engine's hot path.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Deque, Dict, Iterator, KeysView, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.simulation.request import StageJob
 
@@ -93,23 +93,6 @@ class RequestQueue:
     def contains_expert(self, expert_id: str) -> bool:
         """Whether any queued job requires the expert."""
         return expert_id in self._expert_counts
-
-    def expert_job_count(self, expert_id: str) -> int:
-        """Number of queued jobs requiring the expert."""
-        return self._expert_counts.get(expert_id, 0)
-
-    def queued_expert_ids(self) -> frozenset:
-        """Experts required by at least one queued job."""
-        return frozenset(self._expert_counts)
-
-    def queued_expert_view(self) -> KeysView:
-        """Live view of the queued experts (no per-call materialisation).
-
-        The view supports O(1) membership tests and stays valid only
-        until the queue is next mutated; the engine hands it to the
-        eviction policy, which finishes with it before the queue moves.
-        """
-        return self._expert_counts.keys()
 
     def head_expert_id(self) -> Optional[str]:
         """Expert required by the job at the head of the queue."""

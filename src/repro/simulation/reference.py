@@ -296,7 +296,6 @@ def _preredesign_load_expert(simulation, executor, expert, now):
             resident_expert_ids=pool.resident_expert_ids(),
             incoming_expert_id=expert.expert_id,
             protected_expert_ids=frozenset(protected),
-            queued_expert_ids=executor.queue.queued_expert_view(),
             now_ms=now,
             bytes_to_free=needed - pool.free_bytes,
             resident_bytes=pool.resident_sizes(),

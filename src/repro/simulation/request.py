@@ -31,11 +31,6 @@ class StageRecord:
     switch_wait_ms: float = 0.0
 
     @property
-    def queueing_ms(self) -> float:
-        """Time the stage spent waiting in an executor queue."""
-        return self.start_ms - self.enqueue_ms
-
-    @property
     def service_ms(self) -> float:
         """Time from execution start (incl. expert switching) to finish."""
         return self.end_ms - self.start_ms
@@ -120,23 +115,6 @@ class StageJob:
     enqueue_ms: float
     predicted_latency_ms: float = 0.0
 
-    @classmethod
-    def initial(cls, request: SimRequest) -> "StageJob":
-        """The stage-0 job a request enters the system with.
-
-        Materialised at arrival time (not at stream construction): the
-        session's arrival cursor builds request and first job together
-        when the arrival is processed, so peak live objects track
-        in-flight requests rather than stream length.
-        """
-        spec = request.spec
-        return cls(
-            request=request,
-            stage_index=0,
-            expert_id=spec.realized_pipeline[0],
-            enqueue_ms=spec.arrival_ms,
-        )
-
     @property
     def request_id(self) -> int:
         return self.request.request_id
@@ -144,10 +122,6 @@ class StageJob:
     @property
     def category(self) -> str:
         return self.request.spec.category
-
-    @property
-    def is_final_stage(self) -> bool:
-        return self.stage_index == self.request.stage_count - 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -85,17 +85,6 @@ class ResidencyIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def in_host_cache(self, expert_id: str) -> bool:
-        """Whether the expert sits in the host-memory cache."""
-        return expert_id in self._host_cached
-
-    def pools_holding(self, expert_id: str) -> Tuple["ModelPool", ...]:
-        """Pools holding the expert, in scan-preference (rank) order."""
-        holders = self._holders.get(expert_id)
-        if not holders:
-            return ()
-        return tuple(sorted(holders, key=lambda pool: self._pool_meta[pool][0]))
-
     def best_source_tier(
         self, expert_id: str, exclude_pool: "Optional[ModelPool]" = None
     ) -> Optional[MemoryTier]:

@@ -15,7 +15,7 @@ computation on the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 
@@ -42,10 +42,6 @@ class SerialResource:
         self.busy_ms += duration_ms
         self.operations += 1
         return start, end
-
-    def waiting_time(self, now_ms: float) -> float:
-        """How long a new acquisition at ``now_ms`` would have to wait."""
-        return max(0.0, self.available_at_ms - now_ms)
 
     def utilisation(self, horizon_ms: float) -> float:
         """Fraction of a time horizon the resource spent busy."""

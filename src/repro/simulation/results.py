@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.simulation.request import SimRequest
 
@@ -23,12 +23,6 @@ class ExecutorSummary:
     loads_from_ssd: int
     loads_from_cache: int
     resident_experts_at_end: int
-
-    @property
-    def average_batch_size(self) -> float:
-        if self.batches_executed == 0:
-            return 0.0
-        return self.stages_executed / self.batches_executed
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,21 +74,6 @@ class SimulationResult:
         return (self.total_execution_ms + self.total_switching_ms) / self.num_requests
 
     @property
-    def average_request_service_ms(self) -> float:
-        """Mean per-request wall time inside executors (batch-attributed)."""
-        if not self.requests:
-            return 0.0
-        return sum(request.total_service_ms for request in self.requests) / len(self.requests)
-
-    @property
-    def average_end_to_end_latency_ms(self) -> float:
-        """Mean arrival-to-completion latency."""
-        completed = [r.end_to_end_latency_ms for r in self.requests if r.end_to_end_latency_ms is not None]
-        if not completed:
-            return 0.0
-        return sum(completed) / len(completed)
-
-    @property
     def average_scheduling_latency_ms(self) -> float:
         """Mean per-decision scheduling latency (Figure 19)."""
         if self.scheduling_decisions == 0:
@@ -108,24 +87,3 @@ class SimulationResult:
         if total <= 0:
             return 0.0
         return self.total_switching_ms / total
-
-    def executor_by_name(self, name: str) -> ExecutorSummary:
-        for summary in self.executors:
-            if summary.name == name:
-                return summary
-        raise KeyError(f"no executor named '{name}' in result")
-
-    def to_row(self) -> Mapping[str, float]:
-        """Flat summary row used by the experiment harness."""
-        return {
-            "system": self.system_name,
-            "device": self.device_name,
-            "workload": self.workload_name,
-            "requests": self.num_requests,
-            "throughput_rps": round(self.throughput_rps, 2),
-            "expert_switches": self.expert_switches,
-            "expert_loads": self.expert_loads,
-            "makespan_s": round(self.makespan_ms / 1000.0, 2),
-            "avg_request_latency_ms": round(self.average_request_latency_ms, 2),
-            "avg_scheduling_latency_ms": round(self.average_scheduling_latency_ms, 3),
-        }

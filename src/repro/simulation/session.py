@@ -943,7 +943,6 @@ class SimulationSession:
                 resident_expert_ids=pool.resident_expert_ids(),
                 incoming_expert_id=expert.expert_id,
                 protected_expert_ids=protected,
-                queued_expert_ids=executor.queue.queued_expert_view(),
                 now_ms=now,
                 bytes_to_free=needed - pool.free_bytes,
                 resident_bytes=pool.resident_sizes(),

@@ -141,11 +141,7 @@ class CellFeatures:
 
 def _stage_counts(stream) -> Dict[str, float]:
     """Exact per-expert stage counts of a request stream."""
-    counts: Dict[str, float] = {}
-    for spec in stream:
-        for expert_id in spec.realized_pipeline:
-            counts[expert_id] = counts.get(expert_id, 0.0) + 1.0
-    return counts
+    return {expert_id: float(count) for expert_id, count in stream.expert_stage_counts.items()}
 
 
 def _ssd_latency_ms(matrix: "PerformanceMatrix", architecture: str, kind: str) -> float:

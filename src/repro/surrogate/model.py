@@ -92,11 +92,6 @@ class SurrogateEstimate:
                 return v0 + t * (v1 - v0)
         return points[-1][1]
 
-    @property
-    def total_work_ms(self) -> float:
-        """The full work decomposition this estimate rests on."""
-        return self.exec_work_ms + self.switch_work_ms + self.sched_work_ms
-
     def as_row(self) -> Dict[str, float]:
         """A flat dict form for reports and benchmark payloads."""
         row = {

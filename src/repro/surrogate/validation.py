@@ -14,6 +14,7 @@ asserts the bounds; the numbers themselves feed ``docs/sweeps.md``.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -71,7 +72,7 @@ def _agreement(measured: Sequence[float], predicted: Sequence[float]) -> Tuple[f
     errors = [abs(p - m) / m for m, p in zip(measured, predicted) if m > 0.0] or [0.0]
     return (
         spearman_rank_correlation(measured, predicted),
-        float(np.median(errors)),
+        float(statistics.median(errors)),
         float(max(errors)),
     )
 

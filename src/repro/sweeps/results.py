@@ -101,23 +101,8 @@ class SweepResults:
         return iter(self._by_key.items())
 
     # ------------------------------------------------------------------
-    # Early-abort and pruning markers
+    # Pruning markers
     # ------------------------------------------------------------------
-    def is_aborted(self, cell: SweepCell) -> bool:
-        """Whether the cell's stored run stopped early (e.g. SLO abort)."""
-        return self[cell].aborted
-
-    def aborted_keys(self) -> List[CellKey]:
-        """Keys of every stored cell whose run stopped early.
-
-        Sweep-level early aborts (cells declaring ``slo_target_ms``)
-        store the partial result of the violated run; this surfaces
-        them so harnesses and reports can separate doomed cells from
-        completed ones.  Surrogate-pruned placeholders are aborted too;
-        :meth:`pruned_keys` narrows to just those.
-        """
-        return [key for key, result in self._by_key.items() if result.aborted]
-
     def is_pruned(self, cell: SweepCell) -> bool:
         """Whether the cell's stored result is a surrogate-pruned placeholder."""
         return cell.key in self._pruned

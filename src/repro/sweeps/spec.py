@@ -9,13 +9,11 @@ and 14 serve the exact same 40 runs, as do Figures 15 and 16) are
 simulated once.
 
 Cells are identified by ``(system, device, task, overrides)``; the
-``tags`` field records which experiments requested a cell and the
-``pin`` field exempts a cell from surrogate pruning — both are excluded
-from identity, so the union merges tags (and keeps any pin) instead of
-duplicating work.  Both classes are frozen dataclasses built from
-tuples, which keeps them hashable and picklable — a requirement for
-shipping grids to :class:`~repro.sweeps.runner.SweepRunner` worker
-processes.
+``pin`` field exempts a cell from surrogate pruning and is excluded
+from identity, so the union keeps any pin instead of duplicating work.
+Both classes are frozen dataclasses built from tuples, which keeps them
+hashable and picklable — a requirement for shipping grids to
+:class:`~repro.sweeps.runner.SweepRunner` worker processes.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ class SweepCell:
     device: str
     task: str
     overrides: Tuple[Tuple[str, object], ...] = ()
-    tags: Tuple[str, ...] = ()
     #: Exempt from a sweep plan's cuts (see ``SweepRunner``'s ``plan``):
     #: a pinned cell is always fully simulated.  Excluded from identity — a pinned cell and its
     #: unpinned twin are the same simulation.
@@ -64,7 +61,6 @@ class SweepCell:
         system: str,
         device: str,
         task: str,
-        tags: Sequence[str] = (),
         pin: bool = False,
         **overrides: object,
     ) -> "SweepCell":
@@ -74,13 +70,12 @@ class SweepCell:
             device=device,
             task=task,
             overrides=tuple(sorted(overrides.items())),
-            tags=tuple(tags),
             pin=pin,
         )
 
     @property
     def key(self) -> CellKey:
-        """Identity used for deduplication and result lookup (tags excluded)."""
+        """Identity used for deduplication and result lookup (pin excluded)."""
         return (self.system, self.device, self.task, self.overrides)
 
     def identity_token(self) -> str:
@@ -119,10 +114,6 @@ class SweepCell:
             )
         return overrides
 
-    def with_tags(self, tags: Sequence[str]) -> "SweepCell":
-        """The same cell (identical identity) carrying different tags."""
-        return dataclasses.replace(self, tags=tuple(tags))
-
     def pinned(self) -> "SweepCell":
         """The same cell (identical identity), exempt from pruning."""
         return dataclasses.replace(self, pin=True)
@@ -132,8 +123,8 @@ class SweepCell:
 
         The returned cell carries a :data:`FIDELITY_OVERRIDE_KEY`
         override, so it simulates ``num_requests`` requests of the same
-        workload instead of the settings-derived count.  Tags and pin
-        ride along; the identity changes, which is what lets
+        workload instead of the settings-derived count.  The pin rides
+        along; the identity changes, which is what lets
         successive-halving rung rows flow through the ordinary cache and
         executor machinery without ever colliding with full-fidelity
         results.
@@ -184,7 +175,6 @@ class SweepGrid:
         devices: Sequence[str],
         tasks: Sequence[str],
         overrides: Optional[Mapping[str, object]] = None,
-        tags: Sequence[str] = (),
     ) -> "SweepGrid":
         """The full cross product of systems x devices x tasks.
 
@@ -193,7 +183,7 @@ class SweepGrid:
         so per-(device, task) artefacts are reused consecutively.
         """
         cells = [
-            SweepCell.make(system, device, task, tags=tags, **(overrides or {}))
+            SweepCell.make(system, device, task, **(overrides or {}))
             for device in devices
             for task in tasks
             for system in systems
@@ -202,7 +192,7 @@ class SweepGrid:
 
     @staticmethod
     def union(*grids: "SweepGrid") -> "SweepGrid":
-        """Union several grids, keeping first-seen order and merging tags."""
+        """Union several grids, keeping first-seen order and any pin."""
         cells: List[SweepCell] = []
         for grid in grids:
             cells.extend(grid.cells)
@@ -215,15 +205,10 @@ class SweepGrid:
             existing = merged.get(cell.key)
             if existing is None:
                 merged[cell.key] = cell
-                continue
-            if cell.tags:
-                tags = existing.tags + tuple(t for t in cell.tags if t not in existing.tags)
-                existing = existing.with_tags(tags)
-            if cell.pin and not existing.pin:
+            elif cell.pin and not existing.pin:
                 # Any requester's pin survives the union: pruning must
                 # never drop a cell some experiment insists on.
-                existing = existing.pinned()
-            merged[cell.key] = existing
+                merged[cell.key] = existing.pinned()
         return SweepGrid(tuple(merged.values()))
 
     def __or__(self, other: "SweepGrid") -> "SweepGrid":
@@ -237,7 +222,3 @@ class SweepGrid:
 
     def __bool__(self) -> bool:
         return bool(self.cells)
-
-    def tagged(self, tag: str) -> "SweepGrid":
-        """The sub-grid of cells carrying ``tag``."""
-        return SweepGrid(tuple(cell for cell in self.cells if tag in cell.tags))

@@ -296,10 +296,6 @@ class LocalWorkerPool:
         """The workers' ``"host:port"`` addresses (pass as ``hosts=``)."""
         return self._hosts
 
-    def hosts_argument(self) -> str:
-        """The pool as a CLI ``--hosts`` value (comma-separated)."""
-        return ",".join(self._hosts)
-
     def terminate(self) -> None:
         """Stop every worker process (idempotent; waits for exit)."""
         for process in self.processes:

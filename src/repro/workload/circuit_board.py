@@ -15,8 +15,8 @@ cover roughly 60 % of all expert usage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.coe.model import CoEModel
 from repro.coe.router import Router, RoutingRule
@@ -94,16 +94,6 @@ class CircuitBoard:
                     f"{component.detection_group} but the board declares only "
                     f"{self.detection_groups}"
                 )
-
-    @property
-    def component_count(self) -> int:
-        """Number of distinct component types."""
-        return len(self.components)
-
-    @property
-    def images_per_pass(self) -> int:
-        """Total component images produced by scanning one board."""
-        return sum(component.quantity for component in self.components)
 
     def component(self, name: str) -> ComponentType:
         for candidate in self.components:

@@ -43,7 +43,8 @@ import itertools
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, ClassVar, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -114,10 +115,6 @@ class RequestSpec(_RequestSpecFields):
         return tuple.__new__(cls, (request_id, arrival_ms, category, realized_pipeline))
 
     @property
-    def preliminary_expert(self) -> str:
-        return self.realized_pipeline[0]
-
-    @property
     def stage_count(self) -> int:
         return len(self.realized_pipeline)
 
@@ -143,6 +140,16 @@ def _compute_stream_views(specs) -> _StreamViews:
         experts.update(pipeline)
         stages += len(pipeline)
     return counts, tuple(sorted(experts)), stages
+
+
+def _count_expert_stages(specs) -> Mapping[str, int]:
+    """Stages each expert executes over ``specs``, in first-use order."""
+    counts: Dict[str, int] = {}
+    get = counts.get
+    for spec in specs:
+        for expert_id in spec.realized_pipeline:
+            counts[expert_id] = get(expert_id, 0) + 1
+    return MappingProxyType(counts)
 
 
 @dataclass(frozen=True)
@@ -217,6 +224,11 @@ class RequestStream:
     def category_counts(self) -> Dict[str, int]:
         """Number of requests per category."""
         return dict(self._views[0])
+
+    @cached_property
+    def expert_stage_counts(self) -> Mapping[str, int]:
+        """Stages per expert over the stream, in first-use order (read-only)."""
+        return _count_expert_stages(self.requests)
 
     @staticmethod
     def lazy(
@@ -340,6 +352,11 @@ class LazyRequestStream:
     def category_counts(self) -> Dict[str, int]:
         """Number of requests per category."""
         return dict(self._views[0])
+
+    @cached_property
+    def expert_stage_counts(self) -> Mapping[str, int]:
+        """Stages per expert over the stream, in first-use order (read-only)."""
+        return _count_expert_stages(self.spec_factory())
 
 
 #: Anything the engine accepts as a request stream: eager or lazy.

@@ -1,4 +1,4 @@
-"""Tests for the result-analysis helpers and the paper reference data."""
+"""Tests for the paper reference data."""
 
 import pytest
 
@@ -7,80 +7,9 @@ from repro.analysis import (
     PAPER_FIGURE14_SWITCHES,
     PAPER_FIGURE15_THROUGHPUT,
     PAPER_FIGURE16_SWITCHES,
-    ablation_contributions,
     paper_speedup_band,
-    speedup,
-    summarize_comparison,
-    switch_reduction,
 )
 from repro.analysis.paper_reference import paper_baseline_throughput
-from repro.simulation.results import SimulationResult
-
-
-def make_result(name, throughput_rps, switches, requests=1000):
-    """Build a minimal SimulationResult with a given throughput."""
-    makespan_ms = requests / throughput_rps * 1000.0
-    return SimulationResult(
-        system_name=name,
-        device_name="numa",
-        workload_name="test",
-        num_requests=requests,
-        makespan_ms=makespan_ms,
-        total_execution_ms=0.0,
-        total_switching_ms=0.0,
-        total_scheduling_ms=0.0,
-        expert_loads=switches,
-        expert_switches=switches,
-        loads_from_ssd=switches,
-        loads_from_cache=0,
-        executors=(),
-    )
-
-
-class TestComparisonMetrics:
-    def test_speedup(self):
-        fast = make_result("CoServe", 26.0, 64)
-        slow = make_result("Samba-CoE", 3.5, 598)
-        assert speedup(fast, slow) == pytest.approx(26.0 / 3.5, rel=1e-6)
-
-    def test_speedup_requires_positive_baseline(self):
-        zero = make_result("Zero", 1e-12, 0)
-        object.__setattr__(zero, "makespan_ms", 0.0)
-        with pytest.raises(ValueError):
-            speedup(make_result("x", 1.0, 0), zero)
-
-    def test_switch_reduction(self):
-        coserve = make_result("CoServe", 26.0, 64)
-        samba = make_result("Samba-CoE", 3.5, 598)
-        assert switch_reduction(coserve, samba) == pytest.approx(1 - 64 / 598)
-        assert switch_reduction(samba, make_result("none", 1.0, 0)) == 0.0
-
-    def test_ablation_contributions_multiply_to_total(self):
-        results = [
-            make_result("CoServe None", 4.5, 413),
-            make_result("CoServe EM", 5.8, 321),
-            make_result("CoServe EM+RA", 11.8, 173),
-            make_result("CoServe", 26.3, 64),
-        ]
-        contributions = ablation_contributions(results)
-        product = 1.0
-        for value in contributions.values():
-            product *= value
-        assert product == pytest.approx(26.3 / 4.5, rel=1e-6)
-        assert all(value > 1.0 for value in contributions.values())
-
-    def test_ablation_requires_two_results(self):
-        with pytest.raises(ValueError):
-            ablation_contributions([make_result("only", 1.0, 1)])
-
-    def test_summarize_comparison(self):
-        results = {
-            "samba-coe": make_result("Samba-CoE", 3.5, 598),
-            "coserve-best": make_result("CoServe Best", 26.3, 64),
-        }
-        summary = summarize_comparison(results, "samba-coe", "coserve-best")
-        assert summary["speedup"] == pytest.approx(7.51, abs=0.01)
-        assert summary["switch_reduction_%"] == pytest.approx(89.3, abs=0.1)
 
 
 class TestPaperReference:
@@ -133,5 +62,5 @@ class TestAgainstPaperClaims:
         ).serve(pressure_stream)
         # On the reduced test workload we only require a clear win (the
         # full-scale band of 4.5x-12x is checked in EXPERIMENTS.md).
-        assert speedup(coserve, samba) > 1.5
-        assert switch_reduction(coserve, samba) > 0.2
+        assert coserve.throughput_rps / samba.throughput_rps > 1.5
+        assert coserve.expert_switches < 0.8 * samba.expert_switches

@@ -1,6 +1,7 @@
 """Tests for the expert dependency graph."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.coe.dependency import DependencyGraph
 
@@ -20,7 +21,8 @@ def graph():
 class TestConstruction:
     def test_from_pipelines(self, graph):
         assert len(graph) == 6
-        assert graph.dependency_count() == 3
+        assert graph.preliminary_parents("det0") == ("cls0", "cls1")
+        assert graph.preliminary_parents("det1") == ("cls3",)
 
     def test_add_expert_is_idempotent(self, graph):
         graph.add_expert("cls0")
@@ -34,7 +36,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             graph.add_dependency("det0", "cls0")
         # The failed edge must not remain in the graph.
-        assert graph.dependency_count() == 3
+        assert not graph.is_subsequent("cls0")
 
     def test_empty_expert_id_rejected(self):
         with pytest.raises(ValueError):
@@ -43,28 +45,19 @@ class TestConstruction:
 
 class TestQueries:
     def test_preliminary_and_subsequent(self, graph):
-        assert graph.is_preliminary("cls0")
+        assert not graph.is_subsequent("cls0")
         assert graph.is_subsequent("det0")
         assert not graph.is_subsequent("cls2")
 
-    def test_parents_and_children(self, graph):
+    def test_parents(self, graph):
         assert graph.preliminary_parents("det0") == ("cls0", "cls1")
-        assert graph.subsequent_children("cls0") == ("det0",)
-        assert graph.subsequent_children("cls2") == ()
-
-    def test_shared_subsequent_experts(self, graph):
-        assert graph.shared_subsequent_experts() == ("det0",)
+        assert graph.preliminary_parents("cls0") == ()
 
     def test_has_loaded_preliminary(self, graph):
         assert graph.has_loaded_preliminary("det0", {"cls1"})
         assert graph.has_loaded_preliminary("det0", {"cls0", "other"})
         assert not graph.has_loaded_preliminary("det0", {"cls2", "cls3"})
         assert not graph.has_loaded_preliminary("det1", set())
-
-    def test_topological_order_puts_preliminaries_first(self, graph):
-        order = graph.topological_order()
-        assert order.index("cls0") < order.index("det0")
-        assert order.index("cls3") < order.index("det1")
 
     def test_unknown_expert_raises(self, graph):
         with pytest.raises(KeyError):
@@ -77,7 +70,95 @@ class TestQueries:
         assert "missing" not in graph
         assert list(graph) == sorted(graph.expert_ids)
 
-    def test_to_networkx_returns_copy(self, graph):
-        nx_graph = graph.to_networkx()
-        nx_graph.add_edge("det0", "new-node")
-        assert "new-node" not in graph
+
+@pytest.mark.parametrize(
+    "edges, closing",
+    [
+        ([], ("a", "a")),
+        ([("a", "b")], ("b", "a")),
+        ([("a", "b"), ("b", "c")], ("c", "a")),
+        ([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")], ("d", "a")),
+        ([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")], ("e", "b")),
+    ],
+    ids=["self-loop", "two-cycle", "three-cycle", "diamond", "chain-back-edge"],
+)
+def test_cycle_closing_edge_rejected_without_trace(edges, closing):
+    graph = DependencyGraph()
+    for preliminary, subsequent in edges:
+        graph.add_dependency(preliminary, subsequent)
+    nodes = sorted({node for edge in edges + [closing] for node in edge})
+    for node in nodes:
+        graph.add_expert(node)
+    before = {node: graph.preliminary_parents(node) for node in nodes}
+    with pytest.raises(ValueError):
+        graph.add_dependency(*closing)
+    assert {node: graph.preliminary_parents(node) for node in nodes} == before
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [("a", "d"), ("b", "d"), ("c", "d")],
+        [("a", "b"), ("a", "c"), ("a", "d")],
+        [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
+        [("a", "b"), ("b", "c"), ("a", "c")],
+        [("a", "b"), ("a", "b")],
+    ],
+    ids=["fan-in", "fan-out", "diamond", "shortcut", "repeated-edge"],
+)
+def test_acyclic_shapes_accepted(edges):
+    graph = DependencyGraph()
+    for preliminary, subsequent in edges:
+        graph.add_dependency(preliminary, subsequent)
+    nodes = sorted({node for edge in edges for node in edge})
+    assert list(graph) == nodes
+    for node in nodes:
+        parents = tuple(sorted({parent for parent, child in edges if child == node}))
+        assert graph.preliminary_parents(node) == parents
+        assert graph.is_subsequent(node) == bool(parents)
+
+
+NODES = [f"e{index}" for index in range(6)]
+
+
+def _reaches(edges, source, target):
+    """Brute-force reachability over a set of (parent, child) edges."""
+    seen, frontier = set(), [source]
+    while frontier:
+        node = frontier.pop()
+        if node == target:
+            return True
+        if node not in seen:
+            seen.add(node)
+            frontier.extend(child for parent, child in edges if parent == node)
+    return False
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)), max_size=25),
+    st.sets(st.sampled_from(NODES)),
+)
+@settings(max_examples=300, deadline=None)
+def test_graph_matches_brute_force_reachability(edges, loaded):
+    graph = DependencyGraph()
+    for node in NODES:
+        graph.add_expert(node)
+    accepted = set()
+    for preliminary, subsequent in edges:
+        rejected = preliminary == subsequent or _reaches(accepted, subsequent, preliminary)
+        before = {node: graph.preliminary_parents(node) for node in NODES}
+        if rejected:
+            with pytest.raises(ValueError):
+                graph.add_dependency(preliminary, subsequent)
+            assert {node: graph.preliminary_parents(node) for node in NODES} == before
+            assert len(graph) == len(NODES)
+        else:
+            graph.add_dependency(preliminary, subsequent)
+            accepted.add((preliminary, subsequent))
+    for node in NODES:
+        parents = tuple(sorted(parent for parent, child in accepted if child == node))
+        assert graph.preliminary_parents(node) == parents
+        assert graph.is_subsequent(node) == bool(parents)
+        assert graph.has_loaded_preliminary(node, loaded) == any(
+            parent in loaded for parent in parents
+        )

@@ -43,6 +43,16 @@ class TestUsageProfile:
         profile = UsageProfile({"b": 0.5, "a": 0.5})
         assert profile.sorted_expert_ids() == ("a", "b")
 
+    def test_ascending_ties_broken_by_id(self):
+        profile = UsageProfile({"c": 0.1, "b": 0.5, "a": 0.5})
+        assert profile.sorted_expert_ids(descending=False) == ("c", "a", "b")
+
+    def test_descending_order_is_computed_once(self):
+        profile = UsageProfile({"a": 0.5, "b": 0.2, "c": 0.8})
+        first = profile.sorted_expert_ids()
+        assert profile.sorted_expert_ids(descending=True) is first
+        assert profile.sorted_expert_ids(descending=False) == tuple(reversed(first))
+
     def test_cdf_monotone_and_normalised(self):
         profile = UsageProfile({"a": 0.5, "b": 0.3, "c": 0.2})
         cdf = profile.cdf()
@@ -57,9 +67,8 @@ class TestUsageProfile:
         assert profile.coverage(2) == pytest.approx(0.8)
         assert profile.coverage(10) == pytest.approx(1.0)
 
-    def test_top_experts_and_subset(self):
+    def test_subset(self):
         profile = UsageProfile({"a": 0.5, "b": 0.3, "c": 0.2})
-        assert profile.top_experts(2) == ("a", "b")
         subset = profile.subset(["a", "c", "missing"])
         assert len(subset) == 2
 

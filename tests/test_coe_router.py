@@ -10,18 +10,15 @@ class TestRoutingRule:
     def test_defaults_to_unconditional_pipeline(self):
         rule = RoutingRule(category="c1", pipeline=("cls", "det"))
         assert rule.continuation_probabilities == (1.0,)
-        assert rule.preliminary_expert == "cls"
         assert rule.subsequent_experts == ("det",)
 
     def test_stage_reach_probabilities(self):
         rule = RoutingRule("c1", ("a", "b", "c"), (0.5, 0.4))
         assert rule.stage_reach_probabilities() == pytest.approx((1.0, 0.5, 0.2))
-        assert rule.expected_stage_count() == pytest.approx(1.7)
 
     def test_single_stage_rule(self):
         rule = RoutingRule("c1", ("a",))
         assert rule.stage_reach_probabilities() == (1.0,)
-        assert rule.expected_stage_count() == 1.0
 
     def test_invalid_rules_rejected(self):
         with pytest.raises(ValueError):
@@ -62,9 +59,6 @@ class TestRouter:
         with pytest.raises(ValueError):
             router.add_rule(RoutingRule("comp-0", ("clsX",)))
 
-    def test_potential_pipeline(self, router):
-        assert router.potential_pipeline("comp-0") == ("cls0", "det0")
-
     def test_resolve_without_rng_returns_full_pipeline(self, router):
         assert router.resolve("comp-0") == ("cls0", "det0")
 
@@ -78,8 +72,3 @@ class TestRouter:
         rng = np.random.default_rng(1)
         for _ in range(50):
             assert router.resolve("comp-0", rng)[0] == "cls0"
-
-    def test_categories_using_shared_expert(self, router):
-        assert router.categories_using("det0") == ("comp-0", "comp-2")
-        assert router.categories_using("cls1") == ("comp-1",)
-        assert router.categories_using("unknown") == ()

@@ -37,13 +37,12 @@ def usage():
     return UsageProfile({"cls/a": 0.10, "cls/b": 0.05, "cls/c": 0.02, "det/0": 0.09, "det/1": 0.045})
 
 
-def make_context(resident, incoming="cls/x", queued=(), protected=()):
+def make_context(resident, incoming="cls/x", protected=()):
     return EvictionContext(
         pool_name="pool-gpu",
         resident_expert_ids=tuple(resident),
         incoming_expert_id=incoming,
         protected_expert_ids=frozenset(protected),
-        queued_expert_ids=frozenset(queued),
         now_ms=0.0,
     )
 
@@ -97,16 +96,6 @@ class TestProtection:
             make_context(["cls/a", "cls/b", "cls/c"], incoming="cls/a", protected={"cls/b"})
         )
         assert order == ["cls/c"]
-
-    def test_protect_queued_pushes_queued_experts_last(self, model, usage):
-        policy = DependencyAwareEvictionPolicy(model, usage, protect_queued=True)
-        order = policy.victim_order(make_context(["cls/a", "cls/b", "cls/c"], queued={"cls/c"}))
-        assert order[-1] == "cls/c"
-
-    def test_without_protect_queued_flag_queue_is_ignored(self, model, usage):
-        policy = DependencyAwareEvictionPolicy(model, usage, protect_queued=False)
-        order = policy.victim_order(make_context(["cls/a", "cls/b", "cls/c"], queued={"cls/c"}))
-        assert order[0] == "cls/c"
 
     def test_full_order_is_stage_one_then_stage_two(self, model, usage):
         policy = DependencyAwareEvictionPolicy(model, usage)

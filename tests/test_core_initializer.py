@@ -1,5 +1,7 @@
 """Tests for expert initialisation (§4.1)."""
 
+import random
+
 import pytest
 
 from repro.core.initializer import host_cache_preload_plan, round_robin_preload_plan
@@ -13,6 +15,24 @@ def configs(count=2, pool_gb=2.0):
         ExecutorConfig(f"gpu-{index}", ProcessorKind.GPU, int(pool_gb * GB), 1 * GB)
         for index in range(count)
     ]
+
+
+def _probing_plan(executor_configs, model, usage_profile):
+    """The round-robin rule spelled out: probe every executor for every expert."""
+    plan = {config.name: [] for config in executor_configs}
+    remaining = {config.name: config.expert_pool_bytes for config in executor_configs}
+    names = [config.name for config in executor_configs]
+    cursor = 0
+    for expert_id in usage_profile.sorted_expert_ids():
+        weight = model.expert(expert_id).weight_bytes
+        for attempt in range(len(names)):
+            name = names[(cursor + attempt) % len(names)]
+            if remaining[name] >= weight:
+                plan[name].append(expert_id)
+                remaining[name] -= weight
+                cursor = (cursor + attempt + 1) % len(names)
+                break
+    return plan
 
 
 class TestRoundRobinPreload:
@@ -51,6 +71,24 @@ class TestRoundRobinPreload:
     def test_empty_executor_list_rejected(self, small_model, small_usage):
         with pytest.raises(ValueError):
             round_robin_preload_plan([], small_model, small_usage)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_plan_matches_probing_every_executor(self, small_model, small_usage, seed):
+        """Skipping experts larger than the largest free space changes
+        nothing: random executor mixes, including empty and tiny pools."""
+        rng = random.Random(seed)
+        executor_configs = [
+            ExecutorConfig(
+                f"executor-{index}",
+                rng.choice([ProcessorKind.GPU, ProcessorKind.CPU]),
+                int(rng.choice([0.0, 0.3, rng.uniform(0.0, 4.0)]) * GB),
+                1 * GB,
+            )
+            for index in range(rng.randint(1, 5))
+        ]
+        assert round_robin_preload_plan(
+            executor_configs, small_model, small_usage
+        ) == _probing_plan(executor_configs, small_model, small_usage)
 
 
 class TestHostCachePreload:

@@ -29,10 +29,6 @@ def make_record(max_batch=4, activation=140 * MB):
 
 
 class TestMemoryPlan:
-    def test_slack(self):
-        plan = MemoryPlan(total_bytes=100, expert_pool_bytes=60, activation_bytes=30)
-        assert plan.slack_bytes == 10
-
     def test_invalid_plans_rejected(self):
         with pytest.raises(ValueError):
             MemoryPlan(total_bytes=100, expert_pool_bytes=80, activation_bytes=30)
@@ -117,19 +113,20 @@ class TestDecayWindowSearch:
     def test_generous_error_margin_reaches_memory_limit(self):
         search = DecayWindowSearch(initial_window=15, error_margin=10.0)
         result = search.search(lambda count: float(count), max_expert_count=50)
-        assert result.evaluated_counts[-1] == 50
+        assert result.trace[-1][0] == 50
 
     def test_trace_is_recorded_in_evaluation_order(self):
         search = DecayWindowSearch(initial_window=10, error_margin=0.05)
         result = search.search(lambda count: 10.0 + count * 0.1, max_expert_count=40)
-        counts = result.evaluated_counts
-        assert list(counts) == sorted(counts)
-        assert len(counts) == len(result.evaluated_throughputs)
+        counts = [count for count, _ in result.trace]
+        assert counts == sorted(counts)
+        assert all(throughput == 10.0 + count * 0.1 for count, throughput in result.trace)
 
     def test_window_sizes_decay(self):
         search = DecayWindowSearch(initial_window=20, error_margin=1.0)
         result = search.search(lambda count: 1.0, max_expert_count=100)
-        widths = [b - a for a, b in zip(result.evaluated_counts, result.evaluated_counts[1:])]
+        counts = [count for count, _ in result.trace]
+        widths = [b - a for a, b in zip(counts, counts[1:])]
         assert all(later <= earlier for earlier, later in zip(widths, widths[1:]))
 
     def test_selection_is_deterministic_for_seed(self):

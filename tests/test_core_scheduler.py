@@ -1,5 +1,7 @@
 """Tests for dependency-aware request scheduling (§4.2)."""
 
+import random
+
 import pytest
 
 from repro.core.profiler import OfflineProfiler
@@ -18,6 +20,24 @@ def matrix(numa_device, small_model):
 
 def make_executor(name="gpu-0", kind=ProcessorKind.GPU, pool_gb=3.0, act_gb=2.0):
     return Executor(ExecutorConfig(name, kind, int(pool_gb * GB), int(act_gb * GB)))
+
+
+#: Executor layouts: a private pool each, GPU executors sharing one pool
+#: (the engine's default), and a shared GPU pool plus a CPU executor.
+LAYOUTS = ("private", "shared", "mixed")
+
+
+def make_executors(layout, gpu_count):
+    if layout == "private":
+        return [make_executor(f"gpu-{index}") for index in range(gpu_count)]
+    first = make_executor("gpu-0")
+    executors = [first] + [
+        Executor(ExecutorConfig(f"gpu-{index}", ProcessorKind.GPU, 3 * GB, 2 * GB), pool=first.pool)
+        for index in range(1, gpu_count)
+    ]
+    if layout == "mixed":
+        executors.append(make_executor("cpu-0", ProcessorKind.CPU))
+    return executors
 
 
 def make_job(model, expert_id, request_id=0):
@@ -59,6 +79,34 @@ class TestLatencyPredictor:
         record = matrix.record("resnet101", ProcessorKind.GPU)
         predicted = predictor.additional_latency_ms(executor, make_job(small_model, resnet[0], 2), 0.0)
         assert predicted == pytest.approx(record.k_ms)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_one_pass_matches_per_executor_predictions(
+        self, matrix, small_model, expert_ids, layout
+    ):
+        """Executors sharing a pool share its record and new-group cost,
+        but each still sees its own queue."""
+        resnet, _ = expert_ids
+        predictor = LatencyPredictor(matrix, small_model)
+        executors = make_executors(layout, 3)
+        executors[1].queue.append(make_job(small_model, resnet[0], request_id=1))
+        job = make_job(small_model, resnet[0], request_id=2)
+        gpu = matrix.record("resnet101", ProcessorKind.GPU)
+
+        cold = predictor.additional_latencies_ms(executors, resnet[0])
+        assert cold == [predictor.additional_latency_ms(e, job, 0.0) for e in executors]
+        assert cold[1] == gpu.k_ms
+        assert cold[0] == cold[2] == pytest.approx(
+            gpu.k_ms + gpu.b_ms + gpu.load_latency_from("ssd")
+        )
+
+        executors[0].pool.load(resnet[0], small_model.expert(resnet[0]).weight_bytes)
+        warm = predictor.additional_latencies_ms(executors, resnet[0])
+        assert warm == [predictor.additional_latency_ms(e, job, 0.0) for e in executors]
+        assert warm[0] == gpu.k_ms + gpu.b_ms
+        assert warm[1] == gpu.k_ms
+        shares_pool = executors[2].pool is executors[0].pool
+        assert (warm[2] == gpu.k_ms + gpu.b_ms) is shares_pool
 
     def test_cpu_predictions_use_cpu_record(self, matrix, small_model, expert_ids):
         resnet, _ = expert_ids
@@ -113,6 +161,42 @@ class TestCoServeScheduler:
         idle = make_executor("gpu-1")
         job = make_job(small_model, resnet[0])
         assert scheduler.select_executor(job, [busy, idle], 0.0) is idle
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_assignment_follows_the_total_inference_time_definition(
+        self, matrix, small_model, expert_ids, layout, seed
+    ):
+        """Figure 8 by brute force: minimise ``max(max_{j≠i} finish_j,
+        finish_i + additional_i)``, then the additional latency, then the
+        executor name — over random queues, residency and tied finishes."""
+        resnet, _ = expert_ids
+        rng = random.Random(seed)
+        scheduler = CoServeScheduler(matrix, small_model)
+        predictor = LatencyPredictor(matrix, small_model)
+        weight = small_model.expert(resnet[0]).weight_bytes
+        for trial in range(100):
+            executors = make_executors(layout, rng.randint(2, 4))
+            for executor in executors:
+                executor.busy_until_ms = rng.choice([0.0, 40.0, rng.uniform(0.0, 400.0)])
+                for index in range(rng.randint(0, 2)):
+                    queued = make_job(small_model, rng.choice(resnet[:3]), request_id=index)
+                    queued.predicted_latency_ms = rng.choice([10.0, 25.0])
+                    executor.queue.append(queued)
+                if rng.random() < 0.3 and not executor.pool.contains(resnet[0]):
+                    executor.pool.load(resnet[0], weight)
+            now = rng.choice([0.0, 20.0])
+            job = make_job(small_model, resnet[0], request_id=99)
+            finishes = [executor.estimated_finish_ms(now) for executor in executors]
+            additionals = [predictor.additional_latency_ms(e, job, now) for e in executors]
+
+            def key(i):
+                others = max(f for j, f in enumerate(finishes) if j != i)
+                total = max(others, finishes[i] + additionals[i])
+                return (total, additionals[i], executors[i].name)
+
+            expected = executors[min(range(len(executors)), key=key)]
+            assert scheduler.select_executor(job, executors, now) is expected, trial
 
     def test_round_robin_when_assigning_disabled(self, matrix, small_model, expert_ids):
         resnet, _ = expert_ids

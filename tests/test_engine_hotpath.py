@@ -76,7 +76,7 @@ class TestRunStructuredQueue:
             assert fast.pending_latency_ms == slow.pending_latency_ms
             assert fast.head_expert_id() == slow.head_expert_id()
             for expert in {f"e{i}" for i in range(8)}:
-                assert fast.expert_job_count(expert) == slow.expert_job_count(expert)
+                assert fast.contains_expert(expert) == slow.contains_expert(expert)
                 assert fast.index_after_last(expert) == slow.index_after_last(expert)
 
     def test_pop_head_run_at_batch_size_boundary_keeps_run(self):
@@ -133,17 +133,6 @@ class TestRunStructuredQueue:
         queue.pop_head_run(10)
         # whatever float drift accumulated, the empty queue never goes negative
         assert queue.pending_latency_ms >= 0.0
-
-    def test_queued_expert_view_is_live_and_cheap(self):
-        queue = RequestQueue("q")
-        queue.append(make_job(0, "a"))
-        view = queue.queued_expert_view()
-        assert "a" in view and "b" not in view
-        queue.append(make_job(1, "b"))
-        assert "b" in view  # same live view, no re-materialisation
-        queue.pop_head_run(1)
-        assert "a" not in view
-        assert queue.queued_expert_ids() == frozenset({"b"})
 
     def test_clear_resets_run_state(self):
         queue = RequestQueue("q")
@@ -203,7 +192,6 @@ class TestResidencyIndex:
             assert index.best_source_tier(probe, exclude_pool=exclude) == self._naive_best_tier(
                 pools, probe, exclude
             )
-            assert index.in_host_cache(probe) == cache.contains(probe)
 
     def test_preference_order_matches_executor_ranks(self):
         index = ResidencyIndex()
@@ -215,7 +203,6 @@ class TestResidencyIndex:
         cpu_pool.load("e", 10)
         assert index.best_source_tier("e") is MemoryTier.GPU
         assert index.best_source_tier("e", exclude_pool=gpu_pool) is MemoryTier.CPU
-        assert index.pools_holding("e") == (gpu_pool, cpu_pool)
         gpu_pool.evict("e")
         assert index.best_source_tier("e") is MemoryTier.CPU
         cpu_pool.evict("e")

@@ -11,16 +11,13 @@ from repro.experts.registry import (
     ArchitectureRegistry,
     default_registry,
 )
+from repro.hardware.units import MB
 
 
 class TestExpertArchitecture:
     def test_from_parameters_uses_fp32(self):
         arch = ExpertArchitecture.from_parameters("tiny", ExpertTask.CLASSIFICATION, 1000)
         assert arch.weight_bytes == 1000 * BYTES_PER_PARAMETER
-
-    def test_weight_megabytes(self):
-        arch = ExpertArchitecture.from_parameters("tiny", ExpertTask.CLASSIFICATION, 250_000)
-        assert arch.weight_megabytes == pytest.approx(1.0)
 
     def test_name_must_be_lowercase(self):
         with pytest.raises(ValueError):
@@ -36,9 +33,9 @@ class TestExpertArchitecture:
 
     def test_standard_architectures_have_expected_scale(self):
         # The circuit-board application: ~178 MB, ~85 MB and ~186 MB experts.
-        assert 170 < RESNET101.weight_megabytes < 185
-        assert 80 < YOLOV5M.weight_megabytes < 90
-        assert 180 < YOLOV5L.weight_megabytes < 190
+        assert 170 * MB < RESNET101.weight_bytes < 185 * MB
+        assert 80 * MB < YOLOV5M.weight_bytes < 90 * MB
+        assert 180 * MB < YOLOV5L.weight_bytes < 190 * MB
 
     def test_standard_tasks(self):
         assert RESNET101.task is ExpertTask.CLASSIFICATION
@@ -83,13 +80,12 @@ class TestExpert:
         expert = Expert("cls/a", RESNET101, ExpertRole.PRELIMINARY, description="component a")
         assert expert.weight_bytes == RESNET101.weight_bytes
         assert expert.architecture_name == "resnet101"
-        assert expert.is_preliminary
-        assert not expert.is_subsequent
+        assert expert.role is ExpertRole.PRELIMINARY
         assert str(expert) == "cls/a"
 
     def test_subsequent_role(self):
         expert = Expert("det/0", YOLOV5M, ExpertRole.SUBSEQUENT)
-        assert expert.is_subsequent
+        assert expert.role is ExpertRole.SUBSEQUENT
 
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):

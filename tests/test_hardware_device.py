@@ -96,9 +96,3 @@ class TestExpertLoadLatency:
             178 * MB, RESNET101, MemoryTier.SSD, ProcessorKind.GPU
         )
         assert loaded > raw  # deserialisation factor plus framework overhead
-
-    def test_fresh_clone_has_empty_regions(self, numa_device):
-        clone = numa_device.fresh_clone()
-        clone.region(MemoryTier.GPU).allocate("x", 1 * GB)
-        assert numa_device.region(MemoryTier.GPU).used_bytes == 0
-        assert clone.ssd_load_factor == numa_device.ssd_load_factor

@@ -58,8 +58,6 @@ class TestDevicePerformanceModel:
     def test_lookup_and_queries(self, profile):
         model = DevicePerformanceModel({("resnet101", ProcessorKind.GPU): profile})
         assert model.architectures == ("resnet101",)
-        assert model.has_profile("resnet101", ProcessorKind.GPU)
-        assert not model.has_profile("resnet101", ProcessorKind.CPU)
         assert model.execution_latency_ms("resnet101", ProcessorKind.GPU, 2) == pytest.approx(12.0)
         assert model.activation_bytes("resnet101", ProcessorKind.GPU, 2) == 200 * MB
         assert model.load_overhead_ms("resnet101", ProcessorKind.GPU) == pytest.approx(10.0)

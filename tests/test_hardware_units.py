@@ -24,10 +24,6 @@ def test_mb_per_second_to_bytes_per_ms():
     assert units.mb_per_second_to_bytes_per_ms(530.0) == pytest.approx(530_000.0)
 
 
-def test_ms_to_seconds():
-    assert units.ms_to_seconds(2_500.0) == pytest.approx(2.5)
-
-
 def test_round_trip_bandwidth_and_size():
     bandwidth = units.mb_per_second_to_bytes_per_ms(1000.0)
     transfer_ms = (178 * units.MB) / bandwidth

@@ -52,10 +52,6 @@ class TestExecutorTimeline:
         assert timeline.busy_fraction(0.0) == 0.0
         assert timeline.switching_share() == pytest.approx(0.945)
 
-    def test_top_loaded_experts(self, timeline):
-        ranked = timeline.top_loaded_experts(1)
-        assert ranked == [("e0", 900.0)]
-
 
 class TestTimelineObserver:
     def test_intervals_sorted_by_start_time(self):
@@ -123,4 +119,5 @@ class TestTimelineObserver:
         kinds = [interval.kind for interval in observer.timelines()["gpu-0"].intervals]
         assert result.expert_loads == 0
         assert "load" not in kinds
-        assert kinds.count("execute") == result.executor_by_name("gpu-0").batches_executed > 0
+        (summary,) = [summary for summary in result.executors if summary.name == "gpu-0"]
+        assert kinds.count("execute") == summary.batches_executed > 0

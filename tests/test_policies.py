@@ -9,13 +9,12 @@ from repro.policies import EvictionContext, FIFOPolicy, LFUPolicy, LRUPolicy, Ra
 from repro.policies.base import select_victims
 
 
-def make_context(resident, incoming="new", protected=(), queued=(), pool="pool-gpu"):
+def make_context(resident, incoming="new", protected=(), pool="pool-gpu"):
     return EvictionContext(
         pool_name=pool,
         resident_expert_ids=tuple(resident),
         incoming_expert_id=incoming,
         protected_expert_ids=frozenset(protected),
-        queued_expert_ids=frozenset(queued),
         now_ms=0.0,
     )
 

@@ -140,7 +140,6 @@ def test_policies_return_permutation_of_evictable(policy_cls, history, resident_
         resident_expert_ids=resident,
         incoming_expert_id="incoming",
         protected_expert_ids=frozenset({resident[0]}),
-        queued_expert_ids=frozenset(),
         now_ms=0.0,
     )
     order = policy.victim_order(context)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.memory import DecayWindowSearch
+from repro.serving import coserve
 from repro.serving.tuning import (
     measure_throughput,
     run_memory_allocation_search,
@@ -38,7 +39,33 @@ class TestExecutorSweep:
         assert points[0].label == "1G+1C"
 
 
+class _RecordingSearch:
+    """Stands in for DecayWindowSearch and records the count bounds it gets."""
+
+    def search(self, throughput_fn, max_expert_count, min_expert_count=1):
+        self.bounds = (min_expert_count, max_expert_count)
+
+
 class TestMemoryAllocationSearch:
+    def test_search_bounds_follow_coserve_executor_defaults(
+        self, uma_device, small_model, small_usage, sample_stream, uma_matrix, monkeypatch
+    ):
+        def bounds():
+            search = _RecordingSearch()
+            run_memory_allocation_search(
+                uma_device, small_model, small_usage, sample_stream,
+                search=search, performance_matrix=uma_matrix,
+            )
+            return search.bounds
+
+        low, high = bounds()
+        assert low == coserve.DEFAULT_GPU_EXECUTORS["uma"]
+        monkeypatch.setitem(coserve.DEFAULT_GPU_EXECUTORS, "uma", low + 1)
+        assert bounds()[0] == low + 1
+        # Without CPU executors the whole unified budget goes to the GPU side.
+        monkeypatch.setitem(coserve.DEFAULT_CPU_EXECUTORS, "uma", 0)
+        assert bounds()[1] > high
+
     def test_search_returns_feasible_selection(self, numa_device, small_model, small_usage, sample_stream, numa_matrix):
         result = run_memory_allocation_search(
             numa_device, small_model, small_usage, sample_stream,

@@ -214,13 +214,6 @@ class TestServing:
             len(request.records) for request in result.requests
         )
 
-    def test_result_row_contains_headline_metrics(self, numa_device, small_model, small_stream):
-        result = make_simulation(numa_device, small_model).run(small_stream)
-        row = result.to_row()
-        assert row["requests"] == len(small_stream)
-        assert row["throughput_rps"] > 0
-        assert "expert_switches" in row
-
     def test_fifo_and_lru_can_differ(self, numa_device, small_model, small_stream):
         lru = make_simulation(numa_device, small_model, eviction=LRUPolicy()).run(small_stream)
         fifo = make_simulation(numa_device, small_model, eviction=FIFOPolicy()).run(small_stream)
@@ -234,5 +227,4 @@ class TestServing:
         result = simulation.run(small_stream)
         assert result.requests == ()
         # Per-request records are gone, but the totals-based latency metric survives.
-        assert result.average_request_service_ms == 0.0
         assert result.average_request_latency_ms > 0.0

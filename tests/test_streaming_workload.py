@@ -147,6 +147,28 @@ class TestStreamViews:
         first["poisoned"] = 1
         assert "poisoned" not in lazy.category_counts()
 
+    @pytest.mark.parametrize(
+        "order, active_fraction", [("scan", 1.0), ("scan", 0.5), ("shuffled", 1.0), ("shuffled", 0.6)]
+    )
+    def test_expert_stage_counts_agree_and_are_cached(
+        self, small_board, small_model, order, active_fraction
+    ):
+        kwargs = dict(num_requests=400, seed=6, order=order, active_fraction=active_fraction)
+        eager = generate_request_stream(small_board, small_model, **kwargs)
+        lazy = RequestStream.lazy(small_board, small_model, **kwargs)
+        counts = eager.expert_stage_counts
+        assert list(lazy.expert_stage_counts.items()) == list(counts.items())  # first-use order
+        expected = {}
+        for spec in eager:
+            for expert_id in spec.realized_pipeline:
+                expected[expert_id] = expected.get(expert_id, 0) + 1
+        assert list(counts.items()) == list(expected.items())
+        assert sum(counts.values()) == eager.total_stage_count
+        assert tuple(sorted(counts)) == eager.distinct_experts()
+        assert eager.expert_stage_counts is counts
+        with pytest.raises(TypeError):
+            counts["poisoned"] = 1
+
     def test_eager_views_cached_too(self, small_board, small_model):
         stream = generate_request_stream(small_board, small_model, num_requests=50, seed=2)
         stream.category_counts()

@@ -14,7 +14,9 @@ Three contracts pinned here:
 """
 
 import pickle
+import random
 
+import numpy as np
 import pytest
 
 from repro.experiments.base import EvaluationContext, EvaluationSettings
@@ -24,6 +26,7 @@ from repro.surrogate import (
     spearman_rank_correlation,
     validate_grids,
 )
+from repro.surrogate.validation import _agreement
 from repro.sweeps import (
     PRUNED_ABORT_PREFIX,
     HalvingConfig,
@@ -93,7 +96,7 @@ class TestValidationBounds:
             assert report.cell_count == len(report.cells) > 0
             for cell in report.cells:
                 assert cell.predicted_throughput_rps > 0.0
-                assert cell.estimate.total_work_ms > 0.0
+                assert cell.estimate.exec_work_ms > 0.0
 
 
 class TestSpearman:
@@ -109,6 +112,19 @@ class TestSpearman:
     def test_length_mismatch_is_loud(self):
         with pytest.raises(ValueError, match="equal length"):
             spearman_rank_correlation([1, 2], [1])
+
+
+@pytest.mark.parametrize("count", range(1, 7))
+def test_agreement_median_error_matches_numpy(count):
+    """Drift tables print these errors: odd and even row counts must give
+    numpy's median to the last bit."""
+    rng = random.Random(count)
+    measured = [rng.uniform(1.0, 100.0) for _ in range(count)]
+    predicted = [value * rng.uniform(0.5, 1.5) for value in measured]
+    _, median_error, max_error = _agreement(measured, predicted)
+    errors = [abs(p - m) / m for m, p in zip(measured, predicted)]
+    assert median_error == float(np.median(errors))
+    assert max_error == max(errors)
 
 
 class TestMonotonicity:

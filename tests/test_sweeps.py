@@ -65,10 +65,10 @@ class TestSweepCell:
         b = SweepCell.make("s", "numa", "A1", alpha=1, beta=2)
         assert a.key == b.key
 
-    def test_tags_excluded_from_identity(self):
-        a = SweepCell.make("s", "numa", "A1", tags=("figure13",))
-        b = SweepCell.make("s", "numa", "A1", tags=("figure14",))
-        assert a.key == b.key and a.tags != b.tags
+    def test_pin_excluded_from_identity(self):
+        a = SweepCell.make("s", "numa", "A1")
+        b = SweepCell.make("s", "numa", "A1", pin=True)
+        assert a.key == b.key and a.pin != b.pin
 
     def test_override_dict_round_trip(self):
         cell = SweepCell.make("s", "numa", "A1", scheduling_latency_ms=0.0)
@@ -103,13 +103,13 @@ class TestSweepGrid:
             ("s2", "uma", "A1", ()),
         }
 
-    def test_union_deduplicates_and_merges_tags(self):
-        first = SweepGrid.product(("s1",), ("numa",), ("A1",), tags=("figure13",))
-        second = SweepGrid.product(("s1", "s2"), ("numa",), ("A1",), tags=("figure14",))
+    def test_union_deduplicates_and_keeps_pin(self):
+        first = SweepGrid.product(("s1",), ("numa",), ("A1",))
+        both = SweepGrid.product(("s1", "s2"), ("numa",), ("A1",))
+        second = SweepGrid(tuple(cell.pinned() for cell in both))
         union = first | second
-        assert len(union) == 2
-        merged = next(cell for cell in union if cell.system == "s1")
-        assert merged.tags == ("figure13", "figure14")
+        assert [cell.system for cell in union] == ["s1", "s2"]
+        assert all(cell.pin for cell in union)
 
     def test_figure_grids_share_cells(self):
         settings = TINY_SETTINGS
@@ -138,7 +138,7 @@ class TestSweepResults:
         cell = SweepCell.make("s", "numa", "A1")
         sentinel_a, sentinel_b = object(), object()
         assert results.add(cell, sentinel_a) is True
-        assert results.add(cell.with_tags(("other",)), sentinel_b) is False
+        assert results.add(cell.pinned(), sentinel_b) is False
         assert len(results) == 1
         assert results[cell] is sentinel_a
 
@@ -220,9 +220,8 @@ class TestSweepEarlyAbort:
         )
         results = SweepRunner(context=tiny_context).run(grid)
         doomed_cell = grid.cells[1]
-        assert results.is_aborted(doomed_cell)
-        assert not results.is_aborted(grid.cells[0])
-        assert results.aborted_keys() == [doomed_cell.key]
+        aborted = [key for key, result in results.items() if result.aborted]
+        assert aborted == [doomed_cell.key]
 
     def test_slo_parameters_without_target_are_rejected(self, tiny_context):
         orphan = SweepCell.make("coserve", "numa", "A1", slo_percentile=50.0)
@@ -260,7 +259,7 @@ class TestSweepEarlyAbort:
         for name, results in (("parallel", parallel), ("distributed", distributed)):
             for cell in grid:
                 assert results[cell] == serial[cell], f"{name} diverged on {cell.label()}"
-            assert results.is_aborted(doomed), f"{name} lost the aborted flag"
+            assert results[doomed].aborted, f"{name} lost the aborted flag"
             assert results[doomed].abort_reason == serial[doomed].abort_reason
 
 

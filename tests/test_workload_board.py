@@ -38,11 +38,11 @@ class TestComponentType:
 class TestBoardConstruction:
     def test_board_a_matches_paper(self):
         board = make_board_a()
-        assert board.component_count == 352
+        assert len(board.components) == 352
 
     def test_board_b_matches_paper(self):
         board = make_board_b()
-        assert board.component_count == 342
+        assert len(board.components) == 342
 
     def test_quantities_are_skewed(self):
         board = make_board_a()
@@ -56,10 +56,6 @@ class TestBoardConstruction:
         weights = board.quantity_weights()
         assert len(weights) == 5
         assert all(weight >= 1 for weight in weights.values())
-
-    def test_images_per_pass_is_total_quantity(self):
-        board = make_board("X", component_types=10, detection_groups=2)
-        assert board.images_per_pass == sum(c.quantity for c in board.components)
 
     def test_component_lookup(self):
         board = make_board("X", component_types=3, detection_groups=1)
@@ -117,8 +113,11 @@ class TestInspectionModel:
     def test_detection_experts_are_shared(self):
         board = make_board_a()
         model = build_inspection_model(board)
-        shared = model.dependencies.shared_subsequent_experts()
-        assert len(shared) > 0
+        graph = model.dependencies
+        assert any(
+            len(graph.preliminary_parents(expert_id)) >= 2
+            for expert_id in model.subsequent_expert_ids
+        )
 
     def test_detection_pipeline_continuation_probability(self):
         board = make_board("X", component_types=10, detection_groups=2, defect_rate=0.1)

@@ -28,7 +28,6 @@ def model(board):
 class TestRequestSpec:
     def test_properties(self):
         spec = RequestSpec(0, 0.0, "c", ("cls", "det"))
-        assert spec.preliminary_expert == "cls"
         assert spec.stage_count == 2
 
     def test_invalid_specs_rejected(self):
@@ -126,7 +125,7 @@ class TestStreamGeneration:
     def test_pipelines_follow_router(self, board, model):
         stream = generate_request_stream(board, model, 300, seed=1)
         for request in stream:
-            potential = model.router.potential_pipeline(request.category)
+            potential = model.router.rule(request.category).pipeline
             assert request.realized_pipeline == potential[: len(request.realized_pipeline)]
 
     def test_active_fraction_limits_distinct_categories(self, board, model):
