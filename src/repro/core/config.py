@@ -45,12 +45,6 @@ class ExpertPerformanceRecord:
         if self.memory_score <= 0:
             raise ValueError("memory_score must be positive")
 
-    def predicted_execution_latency_ms(self, batch_size: int) -> float:
-        """The linear latency law ``K·n + B`` used for prediction (§4.2)."""
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        return self.k_ms * batch_size + self.b_ms
-
     def load_latency_from(self, source_tier: str, default: Optional[float] = None) -> float:
         """Predicted expert switching latency from a source tier."""
         if source_tier in self.load_latency_ms:

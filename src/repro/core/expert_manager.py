@@ -15,16 +15,32 @@ evicts residents in two stages (Figure 10):
 Unlike LRU/FIFO this never consults runtime history; everything it
 needs (the dependency graph and the usage probabilities) is known
 before serving starts because the CoE routing module is independent of
-the experts (§2.1).
+the experts (§2.1).  So the policy works out, once per policy and on
+first use, each expert's preliminary parents (for a subsequent expert)
+and both stages' sort keys; once per eviction it then costs one dict
+probe and one ``isdisjoint`` per resident, plus the sort or partial
+selection.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Callable, FrozenSet, List, Optional, Tuple
 
 from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile
 from repro.policies.base import EvictionContext, EvictionPolicy, select_victims
+
+
+class _Table(dict):
+    """``key -> compute(key)``, each value worked out on first use and kept."""
+
+    def __init__(self, compute: Callable[[str], object]) -> None:
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key: str) -> object:
+        value = self[key] = self._compute(key)
+        return value
 
 
 class DependencyAwareEvictionPolicy(EvictionPolicy):
@@ -33,42 +49,41 @@ class DependencyAwareEvictionPolicy(EvictionPolicy):
     name = "dependency-aware"
 
     def __init__(self, model: CoEModel, usage_profile: UsageProfile) -> None:
-        self._model = model
-        self._usage = usage_profile
+        graph = model.dependencies
+        assert graph is not None
 
-    def _memory_footprint(self, expert_id: str) -> int:
-        return self._model.expert(expert_id).weight_bytes
+        def parents(expert_id: str) -> Optional[FrozenSet[str]]:
+            # The graph is fixed once the model is built.
+            if expert_id in graph and graph.is_subsequent(expert_id):
+                return frozenset(graph.preliminary_parents(expert_id))
+            return None
 
-    def _usage_probability(self, expert_id: str) -> float:
-        return self._usage.probability(expert_id, default=0.0)
+        def stage_one_key(expert_id: str) -> Tuple[int, str]:
+            # Stage 1: descending memory footprint (Figure 10, stage 1).
+            return (-model.expert(expert_id).weight_bytes, expert_id)
+
+        def stage_two_key(expert_id: str) -> Tuple[float, str]:
+            # Stage 2: ascending pre-assessed usage probability.
+            return (usage_profile.probability(expert_id, default=0.0), expert_id)
+
+        self._parents = _Table(parents)
+        self._stage_one_key = _Table(stage_one_key).__getitem__
+        self._stage_two_key = _Table(stage_two_key).__getitem__
 
     def victim_order(self, context: EvictionContext) -> List[str]:
-        graph = self._model.dependencies
-        assert graph is not None
-        evictable = list(context.evictable())
-        resident: Set[str] = set(context.resident_expert_ids)
-
+        parents_of = self._parents
+        resident = set(context.resident_expert_ids)
         stage_one: List[str] = []
         stage_two: List[str] = []
-        for expert_id in evictable:
-            is_orphan_subsequent = (
-                expert_id in graph
-                and graph.is_subsequent(expert_id)
-                and not graph.has_loaded_preliminary(expert_id, resident)
-            )
-            if is_orphan_subsequent:
+        for expert_id in context.evictable():
+            parents = parents_of[expert_id]
+            if parents is not None and parents.isdisjoint(resident):
                 stage_one.append(expert_id)
             else:
                 stage_two.append(expert_id)
 
-        # Stage 1: descending memory footprint (Figure 10, stage 1).
-        def stage_one_key(expert_id: str):
-            return (-self._memory_footprint(expert_id), expert_id)
-
-        # Stage 2: ascending pre-assessed usage probability.
-        def stage_two_key(expert_id: str):
-            return (self._usage_probability(expert_id), expert_id)
-
+        stage_one_key = self._stage_one_key
+        stage_two_key = self._stage_two_key
         bytes_to_free = context.bytes_to_free
         sizes = context.resident_bytes
         if bytes_to_free is not None and sizes is not None:

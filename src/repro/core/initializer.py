@@ -8,7 +8,7 @@ descending usage probability, until the memory is fully utilised.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set
 
 from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile

@@ -228,8 +228,11 @@ class DecayWindowSearch:
             selected = int(rng.integers(window_lower, window_upper + 1))
         else:
             selected = window_upper
-        selected_throughput = float(throughput_fn(selected))
         trace = tuple(zip(counts, throughputs))
+        # The slide may already have measured the selected count.
+        selected_throughput = dict(trace).get(selected)
+        if selected_throughput is None:
+            selected_throughput = float(throughput_fn(selected))
         return DecayWindowResult(
             window_lower=window_lower,
             window_upper=window_upper,

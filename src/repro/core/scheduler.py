@@ -23,6 +23,12 @@ The scheduler performs four steps for every incoming stage job:
 The assigning and arranging steps can be disabled individually, which
 is exactly how the ablation variants CoServe None / EM / EM+RA are
 built (§5.3).
+
+Once per decision, request assigning makes one pass over the executors,
+reading each queue's finish time and queued experts as attribute and
+dict lookups; once per pool, it prices a new group (``K + B`` plus
+switching); once per scheduler, it resolves each (expert, processor)
+record and each (executor, expert) batch cap.
 """
 
 from __future__ import annotations
@@ -44,41 +50,26 @@ _SSD = MemoryTier.SSD.value
 _CPU = MemoryTier.CPU.value
 
 
-class _RecordCache:
-    """Memoised (expert, processor) → performance-record lookups.
-
-    ``PerformanceMatrix.record`` resolves a tuple key behind a
-    try/except, behind the expert → architecture indirection; the
-    predictor and splitter ask for the same few records thousands of
-    times per run, so a flat local dict keeps the hot path to one
-    ``dict.get``.
-    """
-
-    def __init__(self, matrix: PerformanceMatrix, model: CoEModel) -> None:
-        self._matrix = matrix
-        self._model = model
-        self._by_expert: Dict[Tuple[str, ProcessorKind], ExpertPerformanceRecord] = {}
-
-    def record_for_expert(self, expert_id: str, processor: ProcessorKind) -> ExpertPerformanceRecord:
-        key = (expert_id, processor)
-        record = self._by_expert.get(key)
-        if record is None:
-            expert = self._model.expert(expert_id)
-            record = self._matrix.record(expert.architecture_name, processor)
-            self._by_expert[key] = record
-        return record
-
-
 class LatencyPredictor:
     """Predicts the additional inference latency of scheduling decisions."""
 
     def __init__(self, matrix: PerformanceMatrix, model: CoEModel) -> None:
-        self._records = _RecordCache(matrix, model)
+        self._matrix = matrix
         self._model = model
+        self._records: Dict[Tuple[str, ProcessorKind], ExpertPerformanceRecord] = {}
         self._simulation: Optional["ServingSimulation"] = None
 
     def attach(self, simulation: "ServingSimulation") -> None:
         self._simulation = simulation
+
+    def record(self, expert_id: str, kind: ProcessorKind) -> ExpertPerformanceRecord:
+        """The expert's performance record on a processor kind, memoised."""
+        key = (expert_id, kind)
+        record = self._records.get(key)
+        if record is None:
+            architecture = self._model.expert(expert_id).architecture_name
+            record = self._records[key] = self._matrix.record(architecture, kind)
+        return record
 
     def _expert_location_tier(self, executor: Executor, expert_id: str) -> str:
         """Tier the expert would be loaded from if it is not resident.
@@ -94,63 +85,60 @@ class LatencyPredictor:
         tier = simulation.residency.best_source_tier(expert_id, exclude_pool=executor.pool)
         return tier.value if tier is not None else _SSD
 
-    def additional_latency_ms(self, executor: Executor, job: StageJob, now_ms: float) -> float:
-        """Predicted additional latency of appending ``job`` to ``executor``."""
-        return self.additional_latencies_ms((executor,), job.expert_id)[0]
+    def new_group_ms(
+        self, executor: Executor, record: ExpertPerformanceRecord, expert_id: str
+    ) -> float:
+        """Price of a job starting a new ``expert_id`` group on ``executor``.
 
-    def additional_latencies_ms(
-        self, executors: Sequence[Executor], expert_id: str
-    ) -> List[float]:
-        """:meth:`additional_latency_ms` of a job for ``expert_id`` on each executor.
-
-        One pass serves a whole assigning decision.  Executors sharing a
-        model pool (and processor kind) share the performance record and
-        the cost of a job that starts a new group, so both are resolved
-        once per pool rather than once per executor.
+        ``K + B``, plus the switching latency from the expert's current
+        tier when the pool lacks it: executors sharing a pool share it.
         """
-        record_for_expert = self._records.record_for_expert
-        latencies: List[float] = []
-        pool = kind = record = new_group = None
-        for executor in executors:
-            if executor.pool is not pool or executor.kind is not kind:
-                pool = executor.pool
-                kind = executor.kind
-                record = record_for_expert(expert_id, kind)
-                new_group = None
-            # A job joining an existing same-expert group only costs K and
-            # can never trigger a load; otherwise it costs K + B plus the
-            # switching latency from wherever the expert currently sits.
-            if executor.queue.contains_expert(expert_id):
-                latencies.append(record.k_ms)
-                continue
-            if new_group is None:
-                new_group = record.k_ms + record.b_ms
-                if not pool.contains(expert_id):
-                    switching = record.load_latency_ms.get(
-                        self._expert_location_tier(executor, expert_id)
-                    )
-                    if switching is None:
-                        switching = record.load_latency_from(_SSD)
-                    new_group += switching
-            latencies.append(new_group)
-        return latencies
+        price = record.k_ms + record.b_ms
+        if not executor.pool.contains(expert_id):
+            switching = record.load_latency_ms.get(self._expert_location_tier(executor, expert_id))
+            if switching is None:
+                switching = record.load_latency_from(_SSD)
+            price += switching
+        return price
+
+    def additional_latency_ms(self, executor: Executor, job: StageJob, now_ms: float) -> float:
+        """Predicted additional latency of appending ``job`` to ``executor``.
+
+        A job joining a queued same-expert group only costs ``K`` and can
+        never trigger a load; any other job costs :meth:`new_group_ms`.
+        """
+        expert_id = job.expert_id
+        record = self.record(expert_id, executor.kind)
+        if executor.queue.contains_expert(expert_id):
+            return record.k_ms
+        return self.new_group_ms(executor, record, expert_id)
 
 
 class BatchSplitter:
-    """Computes the current maximum executable batch size (§4.2)."""
+    """Computes the current maximum executable batch size (§4.2).
+
+    The cap depends only on the executor's activation budget and the
+    expert's record, so it is worked out once per (executor, expert).
+    """
 
     def __init__(self, matrix: PerformanceMatrix, model: CoEModel) -> None:
-        self._records = _RecordCache(matrix, model)
+        self._matrix = matrix
         self._model = model
+        self._caps: Dict[Tuple[Executor, str], int] = {}
 
     def max_batch_size(self, executor: Executor, expert_id: str) -> int:
         """Smaller of the profiled maximum and the memory-feasible batch."""
-        record = self._records.record_for_expert(expert_id, executor.kind)
-        if record.activation_bytes_per_sample <= 0:
-            memory_limit = record.max_batch_size
-        else:
-            memory_limit = executor.activation_budget_bytes // record.activation_bytes_per_sample
-        return max(1, min(record.max_batch_size, int(memory_limit)))
+        key = (executor, expert_id)
+        cap = self._caps.get(key)
+        if cap is None:
+            architecture = self._model.expert(expert_id).architecture_name
+            record = self._matrix.record(architecture, executor.kind)
+            if record.activation_bytes_per_sample <= 0:
+                memory_limit = record.max_batch_size
+            else:
+                memory_limit = executor.activation_budget_bytes // record.activation_bytes_per_sample
+            cap = self._caps[key] = max(1, min(record.max_batch_size, int(memory_limit)))
+        return cap
 
 
 class CoServeScheduler(SchedulingPolicy):
@@ -262,7 +250,7 @@ class CoServeScheduler(SchedulingPolicy):
     def _assign_by_total_inference_time(
         self, job: StageJob, executors: Sequence[Executor], now_ms: float
     ) -> Executor:
-        """Pick the queue minimising the total inference time, in O(E).
+        """Pick the queue minimising the total inference time, in one pass.
 
         The candidate total for executor *i* is
         ``max(max_{j≠i} finish_j, finish_i + additional_i)``.  Additional
@@ -270,19 +258,35 @@ class CoServeScheduler(SchedulingPolicy):
         ``max(busiest, finish_i + additional_i)`` with ``busiest`` the
         largest finish of all: the busiest queue only grows when it is
         the one chosen.  Ties go to the smaller additional latency, then
-        to the executor name.
+        to the executor name.  A finish is the sum
+        :meth:`Executor.estimated_finish_ms` computes, in the same order.
         """
+        predictor = self._predictor
         if len(executors) == 1:
             executor = executors[0]
-            self._last_prediction = (
-                job,
-                executor,
-                self._predictor.additional_latency_ms(executor, job, now_ms),
-            )
+            additional = predictor.additional_latency_ms(executor, job, now_ms)
+            self._last_prediction = (job, executor, additional)
             return executor
+        expert_id = job.expert_id
+        finishes: List[float] = []
+        additionals: List[float] = []
+        pool = kind = record = new_group = None
+        for executor in executors:
+            if executor.pool is not pool or executor.kind is not kind:
+                pool = executor.pool
+                kind = executor.kind
+                record = predictor.record(expert_id, kind)
+                new_group = None
+            busy = executor.busy_until_ms
+            queue = executor.queue
+            finishes.append((busy if busy > now_ms else now_ms) + queue.pending_latency_ms)
+            if expert_id in queue.queued_experts:
+                additionals.append(record.k_ms)
+            else:
+                if new_group is None:
+                    new_group = predictor.new_group_ms(executor, record, expert_id)
+                additionals.append(new_group)
 
-        additionals = self._predictor.additional_latencies_ms(executors, job.expert_id)
-        finishes = [executor.estimated_finish_ms(now_ms) for executor in executors]
         busiest = max(finishes)
         best_executor = executors[0]
         best_additional = additionals[0]

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile

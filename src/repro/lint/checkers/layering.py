@@ -14,7 +14,6 @@ deliberate laziness, and they cannot create import-time dependency.
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from repro.lint.core import Checker, FileContext, register

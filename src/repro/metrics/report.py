@@ -7,7 +7,7 @@ readable without pulling in any plotting dependency.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 def _stringify(value) -> str:

@@ -9,7 +9,7 @@ memory-allocation trade-off §4.4 studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.hardware.processor import ProcessorKind

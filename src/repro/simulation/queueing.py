@@ -57,8 +57,12 @@ class RequestQueue:
         self._runs: Deque[_Run] = deque()
         #: expert_id -> the tail-most run holding that expert.
         self._last_run: Dict[str, _Run] = {}
-        self._expert_counts: Counter = Counter()
-        self._pending_latency_ms = 0.0
+        #: expert_id -> number of queued jobs using it, and the sum of
+        #: the queued jobs' predicted additional latency.  Plain
+        #: attributes, read-only outside the queue: request assigning
+        #: reads both for every executor of every decision.
+        self.queued_experts: Counter = Counter()
+        self.pending_latency_ms = 0.0
         self._size = 0
 
     # ------------------------------------------------------------------
@@ -85,14 +89,9 @@ class RequestQueue:
         """Number of same-expert runs currently in the queue."""
         return len(self._runs)
 
-    @property
-    def pending_latency_ms(self) -> float:
-        """Sum of the predicted additional latency of all queued jobs."""
-        return self._pending_latency_ms
-
     def contains_expert(self, expert_id: str) -> bool:
         """Whether any queued job requires the expert."""
-        return expert_id in self._expert_counts
+        return expert_id in self.queued_experts
 
     def head_expert_id(self) -> Optional[str]:
         """Expert required by the job at the head of the queue."""
@@ -104,8 +103,8 @@ class RequestQueue:
     # Mutation
     # ------------------------------------------------------------------
     def _account_insert(self, job: StageJob) -> None:
-        self._expert_counts[job.expert_id] += 1
-        self._pending_latency_ms += job.predicted_latency_ms
+        self.queued_experts[job.expert_id] += 1
+        self.pending_latency_ms += job.predicted_latency_ms
         self._size += 1
 
     def append(self, job: StageJob) -> int:
@@ -121,8 +120,8 @@ class RequestQueue:
             runs.append(run)
             self._last_run[expert_id] = run
         # _account_insert, inlined: append runs once per enqueued job.
-        self._expert_counts[expert_id] += 1
-        self._pending_latency_ms += job.predicted_latency_ms
+        self.queued_experts[expert_id] += 1
+        self.pending_latency_ms += job.predicted_latency_ms
         self._size += 1
         return self._size - 1
 
@@ -216,14 +215,14 @@ class RequestQueue:
             if self._last_run.get(head.expert_id) is head:
                 del self._last_run[head.expert_id]
         expert_id = head.expert_id
-        counts = self._expert_counts
+        counts = self.queued_experts
         remaining = counts[expert_id] - len(run)
         if remaining <= 0:
             del counts[expert_id]
         else:
             counts[expert_id] = remaining
         self._size -= len(run)
-        pending = self._pending_latency_ms
+        pending = self.pending_latency_ms
         if pending:
             for job in run:
                 pending -= job.predicted_latency_ms
@@ -231,12 +230,12 @@ class RequestQueue:
                 # The running sum accumulates float error as jobs come
                 # and go; the true pending latency can never be negative.
                 pending = 0.0
-            self._pending_latency_ms = pending
+            self.pending_latency_ms = pending
         return run
 
     def clear(self) -> None:
         self._runs.clear()
         self._last_run.clear()
-        self._expert_counts.clear()
-        self._pending_latency_ms = 0.0
+        self.queued_experts.clear()
+        self.pending_latency_ms = 0.0
         self._size = 0

@@ -76,16 +76,6 @@ class ReferenceRequestQueue:
     def contains_expert(self, expert_id: str) -> bool:
         return self._expert_counts.get(expert_id, 0) > 0
 
-    def expert_job_count(self, expert_id: str) -> int:
-        return self._expert_counts.get(expert_id, 0)
-
-    def queued_expert_ids(self) -> Tuple[str, ...]:
-        return tuple(sorted(expert for expert, count in self._expert_counts.items() if count > 0))
-
-    def queued_expert_view(self) -> frozenset:
-        # The pre-PR engine materialised a fresh set per eviction.
-        return frozenset(expert for expert, count in self._expert_counts.items() if count > 0)
-
     def head_expert_id(self) -> Optional[str]:
         if not self._jobs:
             return None

@@ -10,7 +10,6 @@ request stream drawn from the same board with the same category mix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from repro.coe.model import CoEModel
 from repro.workload.circuit_board import CircuitBoard

@@ -69,10 +69,6 @@ class ReferenceRequestSpec:
             raise ValueError("realized_pipeline must contain at least one expert")
 
     @property
-    def preliminary_expert(self) -> str:
-        return self.realized_pipeline[0]
-
-    @property
     def stage_count(self) -> int:
         return len(self.realized_pipeline)
 

@@ -22,11 +22,6 @@ def make_record(arch="resnet101", processor=ProcessorKind.GPU, k=2.0, b=8.0, wei
 
 
 class TestExpertPerformanceRecord:
-    def test_linear_prediction(self):
-        record = make_record()
-        assert record.predicted_execution_latency_ms(1) == pytest.approx(10.0)
-        assert record.predicted_execution_latency_ms(4) == pytest.approx(16.0)
-
     def test_load_latency_lookup(self):
         record = make_record()
         assert record.load_latency_from("ssd") == 900.0
@@ -34,10 +29,6 @@ class TestExpertPerformanceRecord:
         assert record.load_latency_from("unified", default=1.0) == 1.0
         with pytest.raises(KeyError):
             record.load_latency_from("unified")
-
-    def test_invalid_batch_rejected(self):
-        with pytest.raises(ValueError):
-            make_record().predicted_execution_latency_ms(0)
 
     def test_invalid_record_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 """Tests for dependency-aware expert management (§4.3, Figure 10)."""
 
 import dataclasses
+import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile
@@ -144,3 +146,98 @@ class TestPartialSelection:
             make_context(resident), bytes_to_free=1, resident_bytes=sizes
         )
         assert policy.victim_order(context) == ["det/1"]
+
+
+def figure_10_order(model, usage, resident, protected, incoming):
+    """Figure 10 from the graph, the expert bytes and the usage profile:
+    orphan subsequent experts by descending bytes, then the rest by
+    ascending usage probability, each tie broken by the id."""
+    graph = model.dependencies
+    evictable = [e for e in resident if e not in protected and e != incoming]
+
+    def orphan(expert_id):
+        parents = graph.preliminary_parents(expert_id)
+        return bool(parents) and not any(parent in resident for parent in parents)
+
+    stage_one = sorted(
+        (e for e in evictable if orphan(e)), key=lambda e: (-model.expert(e).weight_bytes, e)
+    )
+    stage_two = sorted(
+        (e for e in evictable if not orphan(e)),
+        key=lambda e: (usage.probabilities.get(e, 0.0), e),
+    )
+    return stage_one + stage_two
+
+
+@pytest.fixture(scope="module")
+def shared_model():
+    """Six preliminaries and four subsequent experts of two sizes; det/0
+    and det/1 each have two preliminary parents."""
+    architectures = {"det/0": YOLOV5M, "det/1": YOLOV5L, "det/2": YOLOV5M, "det/3": YOLOV5L}
+    experts = {
+        f"cls/{index}": Expert(f"cls/{index}", RESNET101, ExpertRole.PRELIMINARY)
+        for index in range(6)
+    }
+    experts.update(
+        (expert_id, Expert(expert_id, architecture, ExpertRole.SUBSEQUENT))
+        for expert_id, architecture in architectures.items()
+    )
+    pipelines = [
+        ("cls/0", "det/0"),
+        ("cls/1", "det/0"),
+        ("cls/1", "det/1"),
+        ("cls/2", "det/2"),
+        ("cls/3", "det/3"),
+        ("cls/4", "det/1"),
+        ("cls/5",),
+    ]
+    router = Router(
+        [
+            RoutingRule(f"c{index}", pipeline, (0.5,) * (len(pipeline) - 1))
+            for index, pipeline in enumerate(pipelines)
+        ]
+    )
+    return CoEModel(name="em-shared", experts=experts, router=router)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_victim_order_matches_brute_force_figure_10(shared_model, data):
+    """Full and byte-truncated victim orders against Figure 10 worked out
+    from ``DependencyGraph.preliminary_parents``, expert bytes and the
+    usage profile, over random residents, protected sets, incoming
+    experts, usage profiles (ties, unknown experts) and amounts to free."""
+    candidates = sorted(shared_model.experts)
+    usage = UsageProfile(
+        data.draw(
+            st.dictionaries(
+                st.sampled_from(candidates), st.sampled_from([0.0, 0.05, 0.1]), min_size=1
+            )
+        )
+    )
+    resident = data.draw(st.lists(st.sampled_from(candidates), unique=True))
+    protected = data.draw(st.sets(st.sampled_from(candidates)))
+    incoming = data.draw(st.sampled_from(candidates + ["not-in-the-model"]))
+    policy = DependencyAwareEvictionPolicy(shared_model, usage)
+    context = EvictionContext(
+        pool_name="pool-gpu",
+        resident_expert_ids=tuple(resident),
+        incoming_expert_id=incoming,
+        protected_expert_ids=frozenset(protected),
+    )
+    expected = figure_10_order(shared_model, usage, resident, protected, incoming)
+    assert policy.victim_order(context) == expected
+
+    sizes = {e: shared_model.expert(e).weight_bytes for e in resident}
+    boundaries = list(itertools.accumulate(sizes[e] for e in expected))
+    bytes_to_free = data.draw(
+        st.integers(min_value=-1, max_value=sum(sizes.values()) + 1)
+        | st.sampled_from(boundaries or [0])
+    )
+    prefix = []
+    for expert_id in expected:
+        if sum(sizes[e] for e in prefix) >= bytes_to_free:
+            break
+        prefix.append(expert_id)
+    truncated = dataclasses.replace(context, bytes_to_free=bytes_to_free, resident_bytes=sizes)
+    assert policy.victim_order(truncated) == prefix

@@ -137,6 +137,32 @@ class TestDecayWindowSearch:
         second = DecayWindowSearch(seed=42).search(throughput, max_expert_count=64)
         assert first.selected_count == second.selected_count
 
+    @pytest.mark.parametrize(
+        "seed, error_margin, curve, max_count, expected_calls",
+        [
+            # Selects 48, the slide's last count: measured once.
+            (7, 0.05, lambda count: 25.0 - 0.012 * (count - 38) ** 2, 64, [15, 28, 39, 48]),
+            # Slides to the memory limit and selects it: measured once.
+            (0, 10.0, float, 50, [15, 28, 39, 48, 50]),
+            # Selects 43, which the slide skipped: measured after it.
+            (1, 0.05, lambda count: 25.0 - 0.012 * (count - 38) ** 2, 64, [15, 28, 39, 48, 43]),
+        ],
+    )
+    def test_each_count_is_replayed_once(self, seed, error_margin, curve, max_count, expected_calls):
+        """Every replay is a full simulation, so a selected count the slide
+        already measured reuses that throughput instead of replaying it."""
+        calls = []
+
+        def throughput(count):
+            calls.append(count)
+            return curve(count)
+
+        search = DecayWindowSearch(initial_window=15, error_margin=error_margin, seed=seed)
+        result = search.search(throughput, max_expert_count=max_count)
+        assert calls == expected_calls
+        assert result.selected_count == expected_calls[-1]
+        assert result.selected_throughput == curve(result.selected_count)
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             DecayWindowSearch(initial_window=0)

@@ -8,6 +8,7 @@ from repro.core.profiler import OfflineProfiler
 from repro.core.scheduler import BatchSplitter, CoServeScheduler, LatencyPredictor
 from repro.hardware.processor import ProcessorKind
 from repro.hardware.units import GB, MB
+from repro.serving.coserve import CoServeSystem
 from repro.simulation.executor import Executor, ExecutorConfig
 from repro.simulation.request import SimRequest, StageJob
 from repro.workload.generator import RequestSpec
@@ -79,34 +80,6 @@ class TestLatencyPredictor:
         record = matrix.record("resnet101", ProcessorKind.GPU)
         predicted = predictor.additional_latency_ms(executor, make_job(small_model, resnet[0], 2), 0.0)
         assert predicted == pytest.approx(record.k_ms)
-
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_one_pass_matches_per_executor_predictions(
-        self, matrix, small_model, expert_ids, layout
-    ):
-        """Executors sharing a pool share its record and new-group cost,
-        but each still sees its own queue."""
-        resnet, _ = expert_ids
-        predictor = LatencyPredictor(matrix, small_model)
-        executors = make_executors(layout, 3)
-        executors[1].queue.append(make_job(small_model, resnet[0], request_id=1))
-        job = make_job(small_model, resnet[0], request_id=2)
-        gpu = matrix.record("resnet101", ProcessorKind.GPU)
-
-        cold = predictor.additional_latencies_ms(executors, resnet[0])
-        assert cold == [predictor.additional_latency_ms(e, job, 0.0) for e in executors]
-        assert cold[1] == gpu.k_ms
-        assert cold[0] == cold[2] == pytest.approx(
-            gpu.k_ms + gpu.b_ms + gpu.load_latency_from("ssd")
-        )
-
-        executors[0].pool.load(resnet[0], small_model.expert(resnet[0]).weight_bytes)
-        warm = predictor.additional_latencies_ms(executors, resnet[0])
-        assert warm == [predictor.additional_latency_ms(e, job, 0.0) for e in executors]
-        assert warm[0] == gpu.k_ms + gpu.b_ms
-        assert warm[1] == gpu.k_ms
-        shares_pool = executors[2].pool is executors[0].pool
-        assert (warm[2] == gpu.k_ms + gpu.b_ms) is shares_pool
 
     def test_cpu_predictions_use_cpu_record(self, matrix, small_model, expert_ids):
         resnet, _ = expert_ids
@@ -197,6 +170,106 @@ class TestCoServeScheduler:
 
             expected = executors[min(range(len(executors)), key=key)]
             assert scheduler.select_executor(job, executors, now) is expected, trial
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_attached_assignment_matches_figure_8_brute_force(
+        self, numa_device, numa_matrix, small_model, small_usage, seed
+    ):
+        """Request assigning on an attached simulation (three GPU executors
+        sharing a pool, one CPU executor, the host cache) against Figure 8
+        worked out from the performance records: random residency across
+        the two pools and the host cache, random queues, tied finishes."""
+        simulation = CoServeSystem(
+            device=numa_device,
+            model=small_model,
+            usage_profile=small_usage,
+            gpu_executors=3,
+            cpu_executors=1,
+            performance_matrix=numa_matrix,
+        ).build_simulation()
+        scheduler = simulation.scheduling_policy
+        scheduler.attach(simulation)
+        executors = simulation.executors
+        pools = list({id(e.pool): e.pool for e in executors}.values())
+        cache = simulation.host_cache
+        assert len(pools) == 2 and cache is not None
+        candidates = sorted(small_model.experts)[::24][:6]
+        rng = random.Random(seed)
+        reached = set()
+
+        def brute_force_additional(executor, expert_id):
+            record = numa_matrix.record(small_model.expert(expert_id).architecture_name, executor.kind)
+            if any(queued.expert_id == expert_id for queued in executor.queue):
+                reached.add("queued")
+                return record.k_ms
+            if expert_id in executor.pool.resident_expert_ids():
+                reached.add("resident")
+                return record.k_ms + record.b_ms
+            source, tier = "ssd", "ssd"
+            if expert_id in cache.resident_expert_ids():
+                source, tier = "host cache", "cpu"
+            else:
+                for other in executors:  # the first other pool holding it
+                    if other.pool is not executor.pool and expert_id in other.pool.resident_expert_ids():
+                        tier = numa_device.memory_tier_for(other.kind).value
+                        source = f"{tier} pool"
+                        break
+            reached.add(f"{executor.kind.value} from {source}")
+            # A tier without a profiled loading latency falls back to the SSD's.
+            switching = record.load_latency_ms.get(tier, record.load_latency_ms["ssd"])
+            return record.k_ms + record.b_ms + switching
+
+        for trial in range(150):
+            for pool in pools:
+                pool.clear()
+            cache.clear()
+            for expert_id in candidates:
+                weight = small_model.expert(expert_id).weight_bytes
+                for pool in pools:
+                    if rng.random() < 0.3:
+                        pool.load(expert_id, weight)
+                if rng.random() < 0.3:
+                    cache.put(expert_id, weight)
+            now = rng.choice([0.0, 20.0])
+            for executor in executors:
+                executor.queue.clear()
+                executor.busy_until_ms = rng.choice([0.0, 40.0, now, rng.uniform(0.0, 400.0)])
+                for index in range(rng.randint(0, 2)):
+                    queued = make_job(small_model, rng.choice(candidates), request_id=index)
+                    queued.predicted_latency_ms = rng.choice([10.0, 25.0, 40.0])
+                    executor.queue.append(queued)
+            job = make_job(small_model, rng.choice(candidates), request_id=99)
+            finishes = [
+                max(now, e.busy_until_ms) + sum(q.predicted_latency_ms for q in e.queue)
+                for e in executors
+            ]
+            additionals = [brute_force_additional(e, job.expert_id) for e in executors]
+
+            def key(i):
+                others = max(f for j, f in enumerate(finishes) if j != i)
+                total = max(others, finishes[i] + additionals[i])
+                return (total, additionals[i], executors[i].name)
+
+            keys = sorted(key(i) for i in range(len(executors)))
+            if keys[0][0] == keys[1][0]:
+                reached.add("tied total")
+            best = min(range(len(executors)), key=key)
+            chosen = scheduler.select_executor(job, executors, now)
+            assert chosen is executors[best], trial
+            assert scheduler.predicted_additional_latency_ms(chosen, job, now) == additionals[best]
+            for executor, additional in zip(executors, additionals):
+                assert scheduler.predicted_additional_latency_ms(executor, job, now) == additional
+        assert reached == {
+            "queued",
+            "resident",
+            "tied total",
+            "gpu from ssd",
+            "gpu from host cache",
+            "gpu from cpu pool",
+            "cpu from ssd",
+            "cpu from host cache",
+            "cpu from gpu pool",
+        }
 
     def test_round_robin_when_assigning_disabled(self, matrix, small_model, expert_ids):
         resnet, _ = expert_ids

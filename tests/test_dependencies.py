@@ -1,10 +1,11 @@
-"""Every third-party module the package imports is declared in setup.py.
+"""The package's imports: every third-party one is declared, none is unused.
 
 An import that only works because the test machine happens to have the
 module installed breaks ``pip install`` users and CI alike, so this
 walks every module under ``src/repro`` — function-local and
 ``TYPE_CHECKING`` imports included — and checks each absolute import
-against the standard library and ``install_requires``.
+against the standard library and ``install_requires``.  The same walk
+flags names a module imports and never uses.
 """
 
 import ast
@@ -49,3 +50,58 @@ def test_every_third_party_import_is_declared():
         if name != "repro" and name not in sys.stdlib_module_names and name.lower() not in declared
     )
     assert undeclared == []
+
+
+def _imported_bindings(tree):
+    """``(name, line)`` for every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used_names(tree):
+    """Every name the module reads, string annotations and ``__all__`` included."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            yield from ast.literal_eval(node.value)
+    while annotations:
+        for node in ast.walk(annotations.pop()):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:  # a string annotation, e.g. "Optional[ServingSimulation]"
+                    annotations.append(ast.parse(node.value, mode="eval").body)
+                except SyntaxError:  # a plain string, e.g. inside Literal[...]
+                    pass
+
+
+def test_no_unused_imports():
+    """``__init__.py`` re-exports and lines marked ``# noqa: F401`` (a
+    deliberate re-export or side-effect import) are exempt."""
+    unused = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        used = set(_used_names(tree))
+        unused.extend(
+            f"{path.relative_to(ROOT).as_posix()}:{line}: {name}"
+            for name, line in _imported_bindings(tree)
+            if name not in used and "# noqa: F401" not in lines[line - 1]
+        )
+    assert unused == []
