@@ -7,6 +7,11 @@ regime where per-event costs dominate):
   residency index, O(E) assigning) must stay at least ``MIN_SPEEDUP``×
   faster than the pre-optimisation reference implementation
   (:mod:`repro.simulation.reference`), with bit-identical results.
+* **Pricing once per residency change** — a deterministic companion
+  of the speedup floor: CoServe's request assigning prices a new
+  expert group (:meth:`~repro.core.scheduler.LatencyPredictor.new_group_ms`)
+  once per pool and processor kind when an expert is first decided and
+  again only after that expert's residency changes, never per decision.
 * **Observer overhead** — the session path behind ``run()`` (typed
   events dispatched to the built-in metrics observer) must stay within
   ``MAX_OBSERVER_OVERHEAD`` of the preserved pre-redesign monolithic
@@ -28,6 +33,7 @@ import pytest
 
 from recorder import record_bench_result
 from repro.core.profiler import OfflineProfiler
+from repro.core.scheduler import LatencyPredictor
 from repro.hardware.presets import make_numa_device
 from repro.serving import CoServeSystem
 from repro.serving.base import ServingSystem
@@ -145,6 +151,69 @@ def test_engine_hotpath_speedup(hotpath_case):
         f"hot-path speedup regressed: {speedup:.2f}x < {MIN_SPEEDUP}x "
         f"(reference {slow_elapsed:.3f}s, optimised {fast_elapsed:.3f}s)"
     )
+
+
+class _ResidencyNotifications:
+    """Counts pool and host-cache membership notifications."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def _notified(self, source, expert_id) -> None:
+        self.count += 1
+
+    on_pool_load = on_pool_evict = on_host_cache_put = on_host_cache_remove = _notified
+
+
+class _DecidedExperts:
+    """Session observer collecting the expert of every scheduled stage job."""
+
+    def __init__(self) -> None:
+        self.expert_ids = set()
+
+    def on_job_dispatch(self, event) -> None:
+        self.expert_ids.add(event.job.expert_id)
+
+
+def test_new_group_priced_once_per_residency_change(hotpath_case, monkeypatch):
+    """Request assigning re-prices an expert only when its residency changes.
+
+    A new group's price depends on which pools and host cache hold the
+    expert, so each (pool, processor kind) group is priced when an
+    expert is first decided and once more at most per membership
+    notification.  Pricing per decision (about 35k calls against a
+    bound of about 3k on the 16k-request flood) fails this count, which
+    does not depend on timing.
+    """
+    stream = hotpath_case[2]
+    simulation = _build_simulation(hotpath_case)
+    calls = 0
+    new_group_ms = LatencyPredictor.new_group_ms
+
+    def counted(self, executor, record, expert_id):
+        nonlocal calls
+        calls += 1
+        return new_group_ms(self, executor, record, expert_id)
+
+    monkeypatch.setattr(LatencyPredictor, "new_group_ms", counted)
+    notifications = _ResidencyNotifications()
+    pools = list({id(executor.pool): executor.pool for executor in simulation.executors}.values())
+    for pool in pools:
+        pool.add_listener(notifications)
+    simulation.host_cache.add_listener(notifications)
+    groups = len({(id(executor.pool), executor.kind) for executor in simulation.executors})
+    decided = _DecidedExperts()
+
+    result = simulation.run(stream, observers=[decided])
+
+    bound = groups * (len(decided.expert_ids) + notifications.count)
+    print(
+        f"\nnew-group pricing: {calls} calls, bound {bound} ({groups} groups, "
+        f"{len(decided.expert_ids)} experts decided, {notifications.count} notifications, "
+        f"{result.scheduling_decisions} decisions)"
+    )
+    assert result.scheduling_decisions > 4 * bound, "the flood no longer tells the two apart"
+    assert 0 < calls <= bound
 
 
 def _timed_call(run):

@@ -24,19 +24,36 @@ The assigning and arranging steps can be disabled individually, which
 is exactly how the ablation variants CoServe None / EM / EM+RA are
 built (§5.3).
 
-Once per decision, request assigning makes one pass over the executors,
-reading each queue's finish time and queued experts as attribute and
-dict lookups; once per pool, it prices a new group (``K + B`` plus
-switching); once per scheduler, it resolves each (expert, processor)
-record and each (executor, expert) batch cap.
+Request assigning reads two things that events keep current instead
+of rebuilding them per decision:
+
+* an **executor view** — the decision's executors in ascending name
+  order, built once per executor sequence, so the name tie-break is
+  the scan order;
+* a **price row** per expert — ``(K, new-group price)`` for each
+  executor of the view, worked out on first use with one record lookup
+  and one :meth:`LatencyPredictor.new_group_ms` per pool and processor
+  kind.  A new group's price (``K + B``, plus switching from the
+  expert's current tier when the pool lacks it) only changes when the
+  expert enters or leaves a model pool or the host cache, so the row
+  is dropped on exactly those notifications (the listener protocol of
+  :class:`~repro.simulation.residency.ResidencyIndex`), and all rows
+  are dropped at ``attach`` and ``reset``.
+
+A decision is then one pass over the view for the queue finish times
+and their running maximum, and one for the totals, reading queued
+experts as dict lookups.  Once per scheduler, each (expert, processor)
+record and each (executor, expert) batch cap is resolved.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.coe.model import CoEModel
 from repro.core.config import ExpertPerformanceRecord, PerformanceMatrix
+from repro.core.expert_manager import _Table
 from repro.hardware.memory import MemoryTier
 from repro.hardware.processor import ProcessorKind
 from repro.simulation.executor import Executor
@@ -45,9 +62,13 @@ from repro.simulation.request import StageJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.engine import ServingSimulation
+    from repro.simulation.host_cache import HostCache
+    from repro.simulation.model_pool import ModelPool
 
 _SSD = MemoryTier.SSD.value
 _CPU = MemoryTier.CPU.value
+_INF = float("inf")
+_BY_NAME = attrgetter("name")
 
 
 class LatencyPredictor:
@@ -141,6 +162,35 @@ class BatchSplitter:
         return cap
 
 
+#: ``(K, new-group price)`` of one executor of the view.
+_Price = Tuple[float, float]
+
+
+class _PriceRows(_Table):
+    """Expert -> price row over the executor view, one entry per executor.
+
+    A row only depends on which pools and host cache hold its expert, so
+    it is dropped when the expert is loaded into or evicted from a
+    watched pool, or put into or removed from a watched host cache.
+    """
+
+    def __init__(self, compute: Callable[[str], Tuple[_Price, ...]]) -> None:
+        super().__init__(compute)
+        #: id -> watched pool or host cache, each listened to once.
+        self._watched: Dict[int, object] = {}
+
+    def watch(self, source: "Union[ModelPool, HostCache]") -> None:
+        """Listen to a model pool or host cache, once."""
+        if id(source) not in self._watched:
+            self._watched[id(source)] = source
+            source.add_listener(self)
+
+    def _drop(self, source: object, expert_id: str) -> None:
+        self.pop(expert_id, None)
+
+    on_pool_load = on_pool_evict = on_host_cache_put = on_host_cache_remove = _drop
+
+
 class CoServeScheduler(SchedulingPolicy):
     """The dependency-aware inference request scheduler.
 
@@ -191,6 +241,11 @@ class CoServeScheduler(SchedulingPolicy):
         #: themselves: identity comparison then cannot be fooled by a
         #: freed job's id being recycled.
         self._last_prediction: Optional[Tuple[StageJob, Executor, float]] = None
+        #: The executor sequence of the last decision as passed, and the
+        #: same executors in ascending name order.
+        self._executors: Sequence[Executor] = ()
+        self._view: Tuple[Executor, ...] = ()
+        self._rows = _PriceRows(self._price_row)
 
     # ------------------------------------------------------------------
     # SchedulingPolicy interface
@@ -198,10 +253,19 @@ class CoServeScheduler(SchedulingPolicy):
     def attach(self, simulation: "ServingSimulation") -> None:
         self._predictor.attach(simulation)
         self._last_prediction = None
+        # Prices read the simulation's residency from now on: rows made
+        # before (preloads happen before attach) are stale.
+        rows = self._rows
+        rows.clear()
+        for executor in simulation.executors:
+            rows.watch(executor.pool)
+        if simulation.host_cache is not None:
+            rows.watch(simulation.host_cache)
 
     def reset(self) -> None:
         self._round_robin_cursor = 0
         self._last_prediction = None
+        self._rows.clear()
 
     def scheduling_latency_ms(self, job: StageJob, now_ms: float) -> float:
         return self._scheduling_latency_ms
@@ -247,10 +311,47 @@ class CoServeScheduler(SchedulingPolicy):
     # ------------------------------------------------------------------
     # Request assigning (Figure 8)
     # ------------------------------------------------------------------
+    def _use_executors(self, executors: Sequence[Executor]) -> None:
+        """Make ``executors`` the decision's executors.
+
+        An equal sequence (the same executors in the same order, such as
+        a fresh ``simulation.executors`` tuple) keeps the view and the
+        rows; any other drops the rows and watches the new pools.
+        """
+        if tuple(executors) != tuple(self._executors):
+            self._view = tuple(sorted(executors, key=_BY_NAME))
+            rows = self._rows
+            rows.clear()
+            for executor in executors:
+                rows.watch(executor.pool)
+        self._executors = executors
+
+    def _price_row(self, expert_id: str) -> Tuple[_Price, ...]:
+        """``(K, new-group price)`` for each executor of the view.
+
+        One record lookup and one :meth:`LatencyPredictor.new_group_ms`
+        per pool and processor kind: executors sharing both share the
+        price.
+        """
+        predictor = self._predictor
+        prices: Dict[Tuple["ModelPool", ProcessorKind], _Price] = {}
+        row: List[_Price] = []
+        for executor in self._view:
+            group = (executor.pool, executor.kind)
+            price = prices.get(group)
+            if price is None:
+                record = predictor.record(expert_id, executor.kind)
+                price = prices[group] = (
+                    record.k_ms,
+                    predictor.new_group_ms(executor, record, expert_id),
+                )
+            row.append(price)
+        return tuple(row)
+
     def _assign_by_total_inference_time(
         self, job: StageJob, executors: Sequence[Executor], now_ms: float
     ) -> Executor:
-        """Pick the queue minimising the total inference time, in one pass.
+        """Pick the queue minimising the total inference time.
 
         The candidate total for executor *i* is
         ``max(max_{j≠i} finish_j, finish_i + additional_i)``.  Additional
@@ -258,50 +359,42 @@ class CoServeScheduler(SchedulingPolicy):
         ``max(busiest, finish_i + additional_i)`` with ``busiest`` the
         largest finish of all: the busiest queue only grows when it is
         the one chosen.  Ties go to the smaller additional latency, then
-        to the executor name.  A finish is the sum
+        to the executor name: the view is in name order, so the first
+        executor scanned wins a full tie.  A finish is the sum
         :meth:`Executor.estimated_finish_ms` computes, in the same order.
+
+        ``executors`` is recognised by identity first: a caller must not
+        change a sequence in place between decisions (the engine's list
+        never changes).
         """
-        predictor = self._predictor
-        if len(executors) == 1:
-            executor = executors[0]
-            additional = predictor.additional_latency_ms(executor, job, now_ms)
+        if executors is not self._executors:
+            self._use_executors(executors)
+        expert_id = job.expert_id
+        row = self._rows[expert_id]
+        view = self._view
+        if len(view) == 1:
+            executor = view[0]
+            k_ms, new_group = row[0]
+            additional = k_ms if expert_id in executor.queue.queued_experts else new_group
             self._last_prediction = (job, executor, additional)
             return executor
-        expert_id = job.expert_id
         finishes: List[float] = []
-        additionals: List[float] = []
-        pool = kind = record = new_group = None
-        for executor in executors:
-            if executor.pool is not pool or executor.kind is not kind:
-                pool = executor.pool
-                kind = executor.kind
-                record = predictor.record(expert_id, kind)
-                new_group = None
+        busiest = -_INF
+        for executor in view:
             busy = executor.busy_until_ms
-            queue = executor.queue
-            finishes.append((busy if busy > now_ms else now_ms) + queue.pending_latency_ms)
-            if expert_id in queue.queued_experts:
-                additionals.append(record.k_ms)
-            else:
-                if new_group is None:
-                    new_group = predictor.new_group_ms(executor, record, expert_id)
-                additionals.append(new_group)
+            finish = (busy if busy > now_ms else now_ms) + executor.queue.pending_latency_ms
+            if finish > busiest:
+                busiest = finish
+            finishes.append(finish)
 
-        busiest = max(finishes)
-        best_executor = executors[0]
-        best_additional = additionals[0]
-        best_total = max(busiest, finishes[0] + best_additional)
-        for executor, finish, additional in zip(executors, finishes, additionals):
+        best_executor = view[0]
+        best_total = best_additional = _INF
+        for executor, finish, (k_ms, new_group) in zip(view, finishes, row):
+            additional = k_ms if expert_id in executor.queue.queued_experts else new_group
             total = finish + additional
             if total < busiest:
                 total = busiest
-            if total < best_total or (
-                total == best_total
-                and (
-                    additional < best_additional
-                    or (additional == best_additional and executor.name < best_executor.name)
-                )
-            ):
+            if total < best_total or (total == best_total and additional < best_additional):
                 best_executor = executor
                 best_total = total
                 best_additional = additional

@@ -58,9 +58,13 @@ lookups rather than scans:
   every pool load/evict and host-cache put/remove.  Locating the
   fastest source tier for a load (here and in the scheduler's latency
   predictor) is an O(1) lookup instead of an all-executor scan.
-* **O(E) request assigning** — CoServe's scheduler picks the queue
-  minimising total inference time with a single top-2 finish-time pass
-  over executors instead of the O(E²) per-job max-over-others loop.
+* **O(E) request assigning** — CoServe's scheduler bounds every
+  candidate total by the busiest queue's finish, so a decision is one
+  pass over the executors (in name order) for the finishes and their
+  running maximum and one for the totals, instead of the O(E²) per-job
+  max-over-others loop.  Each expert's new-group prices are kept in a
+  per-expert row that pool and host-cache listeners drop when the
+  expert's residency changes (see :mod:`repro.core.scheduler`).
 """
 
 from __future__ import annotations

@@ -133,12 +133,17 @@ class RequestQueue:
         last run, or the tail of the queue when no queued job uses the
         expert yet.
         """
-        run = self._last_run.get(job.expert_id)
+        expert_id = job.expert_id
+        run = self._last_run.get(expert_id)
         if run is None:
             self.append(job)
             return
         run.jobs.append(job)
-        self._account_insert(job)
+        # _account_insert, inlined: request arranging inserts every CoServe
+        # stage job here.
+        self.queued_experts[expert_id] += 1
+        self.pending_latency_ms += job.predicted_latency_ms
+        self._size += 1
 
     def insert(self, index: int, job: StageJob) -> int:
         """Insert a job at an arbitrary index and update bookkeeping.

@@ -11,7 +11,7 @@ from repro.hardware.units import GB, MB
 from repro.serving.coserve import CoServeSystem
 from repro.simulation.executor import Executor, ExecutorConfig
 from repro.simulation.request import SimRequest, StageJob
-from repro.workload.generator import RequestSpec
+from repro.workload.generator import RequestSpec, generate_request_stream
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +270,113 @@ class TestCoServeScheduler:
             "cpu from host cache",
             "cpu from gpu pool",
         }
+
+    def test_unattached_decisions_follow_pool_residency(self, matrix, small_model, expert_ids):
+        """One scheduler, one executor list, no simulation: loading and
+        evicting the job's expert between decisions re-prices it."""
+        resnet, _ = expert_ids
+        scheduler = CoServeScheduler(matrix, small_model)
+        executors = [make_executor("gpu-0"), make_executor("gpu-1")]
+        record = matrix.record("resnet101", ProcessorKind.GPU)
+        weight = small_model.expert(resnet[0]).weight_bytes
+        from_ssd = record.k_ms + record.b_ms + record.load_latency_from("ssd")
+        resident = record.k_ms + record.b_ms
+        steps = [
+            (None, "gpu-0", {"gpu-0": from_ssd, "gpu-1": from_ssd}),
+            (("load", 1), "gpu-1", {"gpu-0": from_ssd, "gpu-1": resident}),
+            (("load", 0), "gpu-0", {"gpu-0": resident, "gpu-1": resident}),
+            (("evict", 0), "gpu-1", {"gpu-0": from_ssd, "gpu-1": resident}),
+            (("evict", 1), "gpu-0", {"gpu-0": from_ssd, "gpu-1": from_ssd}),
+        ]
+        for request_id, (change, chosen, prices) in enumerate(steps):
+            if change is not None:
+                action, index = change
+                if action == "load":
+                    executors[index].pool.load(resnet[0], weight)
+                else:
+                    executors[index].pool.evict(resnet[0])
+            job = make_job(small_model, resnet[0], request_id)
+            selected = scheduler.select_executor(job, executors, 0.0)
+            assert selected.name == chosen, change
+            # The chosen executor's price first comes from the decision
+            # itself; every later ask is priced from scratch.
+            for executor in [selected] + executors:
+                predicted = scheduler.predicted_additional_latency_ms(executor, job, 0.0)
+                assert predicted == prices[executor.name], (change, executor.name)
+
+    def test_prices_made_before_attach_are_dropped(
+        self, numa_device, numa_matrix, small_model, small_usage
+    ):
+        """Preloads fill the pools and the host cache before ``attach``:
+        a price worked out unattached (every load from the SSD) must not
+        survive it."""
+        simulation = CoServeSystem(
+            device=numa_device,
+            model=small_model,
+            usage_profile=small_usage,
+            gpu_executors=2,
+            cpu_executors=0,
+            gpu_expert_count=4,
+            performance_matrix=numa_matrix,
+        ).build_simulation()
+        scheduler = simulation.scheduling_policy
+        pool = simulation.executors[0].pool
+        cached = [e for e in simulation.host_cache.resident_expert_ids() if not pool.contains(e)]
+        assert cached
+        executors = simulation.executors
+
+        def decide(request_id):
+            job = make_job(small_model, cached[0], request_id)
+            chosen = scheduler.select_executor(job, executors, 0.0)
+            return scheduler.predicted_additional_latency_ms(chosen, job, 0.0)
+
+        unattached = decide(0)
+        scheduler.attach(simulation)
+        record = numa_matrix.record(small_model.expert(cached[0]).architecture_name, ProcessorKind.GPU)
+        assert unattached == record.k_ms + record.b_ms + record.load_latency_from("ssd")
+        assert decide(1) == record.k_ms + record.b_ms + record.load_latency_from("cpu")
+
+    def test_equal_executor_sequences_share_one_view(
+        self, numa_device, numa_matrix, small_board, small_model, small_usage
+    ):
+        """``simulation.executors`` is a new tuple on every call: deciding
+        over it chooses exactly as over the session's list, without
+        rebuilding the view or listening to a pool twice."""
+        stream = generate_request_stream(
+            small_board,
+            small_model,
+            num_requests=300,
+            arrival_interval_ms=2.0,
+            seed=9,
+            order="shuffled",
+        )
+
+        def build():
+            return CoServeSystem(
+                device=numa_device,
+                model=small_model,
+                usage_profile=small_usage,
+                gpu_executors=3,
+                cpu_executors=1,
+                gpu_expert_count=6,
+                performance_matrix=numa_matrix,
+            ).build_simulation()
+
+        simulation = build()
+        scheduler = simulation.scheduling_policy
+        select = scheduler.select_executor
+        views = []
+
+        def select_over_fresh_tuples(job, executors, now_ms):
+            chosen = select(job, simulation.executors, now_ms)
+            views.append(scheduler._view)
+            return chosen
+
+        scheduler.select_executor = select_over_fresh_tuples
+        assert simulation.run(stream) == build().run(stream)
+        assert views and all(view is views[0] for view in views)
+        for source in [e.pool for e in simulation.executors] + [simulation.host_cache]:
+            assert source._listeners.count(scheduler._rows) == 1
 
     def test_round_robin_when_assigning_disabled(self, matrix, small_model, expert_ids):
         resnet, _ = expert_ids

@@ -6,9 +6,10 @@ implementation kept in :mod:`repro.simulation.reference`."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hardware.memory import MemoryTier
-from repro.serving import SYSTEM_NAMES, build_system
+from repro.serving import SYSTEM_NAMES, CoServeSystem, build_system
 from repro.simulation.host_cache import HostCache
 from repro.simulation.model_pool import ModelPool
 from repro.simulation.queueing import RequestQueue
@@ -315,3 +316,67 @@ class TestEngineEquivalence:
             preredesign_result = preredesign_run(preredesign_simulation, stream)
             assert session_result == preredesign_result
             assert session_simulation.metrics == preredesign_simulation.metrics
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    device_name=st.sampled_from(["numa", "uma"]),
+    gpu_executors=st.integers(1, 5),
+    cpu_executors=st.integers(0, 2),
+    gpu_expert_count=st.integers(2, 6),
+    expert_management=st.booleans(),
+    arranging=st.booleans(),
+    assigning=st.booleans(),
+    num_requests=st.integers(100, 300),
+    seed=st.integers(0, 2**16),
+    interval=st.sampled_from([0.25, 1.0, 4.0]),
+)
+def test_coserve_matches_reference_under_residency_churn(
+    numa_device,
+    uma_device,
+    numa_matrix,
+    uma_matrix,
+    small_board,
+    small_model,
+    pressure_usage,
+    device_name,
+    gpu_executors,
+    cpu_executors,
+    gpu_expert_count,
+    expert_management,
+    arranging,
+    assigning,
+    num_requests,
+    seed,
+    interval,
+):
+    """CoServe deployments whose pools and host cache churn: a few GPU
+    experts, shuffled streams, any executor mix and any combination of
+    the ablation toggles (None / EM / EM+RA / full among them).  The
+    reference engine prices every decision from scratch, so a price
+    kept past a residency change shows as a different result."""
+    device, matrix = {"numa": (numa_device, numa_matrix), "uma": (uma_device, uma_matrix)}[device_name]
+    stream = generate_request_stream(
+        small_board,
+        small_model,
+        num_requests=num_requests,
+        arrival_interval_ms=interval,
+        seed=seed,
+        order="shuffled",
+    )
+
+    def build_simulation():
+        return CoServeSystem(
+            device,
+            small_model,
+            pressure_usage,
+            enable_expert_management=expert_management,
+            enable_arranging=arranging,
+            enable_assigning=assigning,
+            gpu_executors=gpu_executors,
+            cpu_executors=cpu_executors,
+            gpu_expert_count=gpu_expert_count,
+            performance_matrix=matrix,
+        ).build_simulation()
+
+    assert build_simulation().run(stream) == referencify(build_simulation()).run(stream)
