@@ -1,4 +1,4 @@
-"""Ablation benchmarks for design choices called out in DESIGN.md.
+"""Ablation benchmarks for substrate choices the paper does not ablate.
 
 Beyond the paper's own ablation (Figures 15/16), these benchmarks
 quantify two choices of this reproduction's serving substrate:

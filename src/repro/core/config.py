@@ -81,9 +81,6 @@ class PerformanceMatrix:
     def processors(self) -> Tuple[ProcessorKind, ...]:
         return tuple(sorted({processor for _, processor in self._records}, key=lambda p: p.value))
 
-    def records(self) -> Tuple[ExpertPerformanceRecord, ...]:
-        return tuple(self._records.values())
-
     def memory_score(self, architecture: str) -> float:
         """Normalised memory footprint of an architecture (Figure 10)."""
         for (candidate, _), record in self._records.items():

@@ -46,8 +46,6 @@ class _Table(dict):
 class DependencyAwareEvictionPolicy(EvictionPolicy):
     """CoServe's two-stage, dependency-aware eviction strategy."""
 
-    name = "dependency-aware"
-
     def __init__(self, model: CoEModel, usage_profile: UsageProfile) -> None:
         graph = model.dependencies
         assert graph is not None
@@ -83,16 +81,13 @@ class DependencyAwareEvictionPolicy(EvictionPolicy):
                 stage_two.append(expert_id)
 
         stage_one_key = self._stage_one_key
-        stage_two_key = self._stage_two_key
         bytes_to_free = context.bytes_to_free
         sizes = context.resident_bytes
-        if bytes_to_free is not None and sizes is not None:
-            stage_one_bytes = sum(sizes.get(expert_id, 0) for expert_id in stage_one)
-            if stage_one_bytes >= bytes_to_free:
-                # Orphan subsequents alone free enough memory — stage 2
-                # never gets evicted, so skip sorting it entirely.
-                return select_victims(stage_one, stage_one_key, bytes_to_free, sizes)
-            return sorted(stage_one, key=stage_one_key) + select_victims(
-                stage_two, stage_two_key, bytes_to_free - stage_one_bytes, sizes
-            )
-        return sorted(stage_one, key=stage_one_key) + sorted(stage_two, key=stage_two_key)
+        stage_one_bytes = sum(sizes.get(expert_id, 0) for expert_id in stage_one)
+        if stage_one_bytes >= bytes_to_free:
+            # Orphan subsequents alone free enough memory — stage 2
+            # never gets evicted, so skip sorting it entirely.
+            return select_victims(stage_one, stage_one_key, bytes_to_free, sizes)
+        return sorted(stage_one, key=stage_one_key) + select_victims(
+            stage_two, self._stage_two_key, bytes_to_free - stage_one_bytes, sizes
+        )

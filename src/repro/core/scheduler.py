@@ -38,7 +38,7 @@ of rebuilding them per decision:
   expert enters or leaves a model pool or the host cache, so the row
   is dropped on exactly those notifications (the listener protocol of
   :class:`~repro.simulation.residency.ResidencyIndex`), and all rows
-  are dropped at ``attach`` and ``reset``.
+  are dropped at ``attach``.
 
 A decision is then one pass over the view for the queue finish times
 and their running maximum, and one for the totals, reading queued
@@ -214,8 +214,6 @@ class CoServeScheduler(SchedulingPolicy):
         Use the batch splitter; when disabled every batch has size 1.
     """
 
-    name = "coserve"
-
     def __init__(
         self,
         matrix: PerformanceMatrix,
@@ -261,11 +259,6 @@ class CoServeScheduler(SchedulingPolicy):
             rows.watch(executor.pool)
         if simulation.host_cache is not None:
             rows.watch(simulation.host_cache)
-
-    def reset(self) -> None:
-        self._round_robin_cursor = 0
-        self._last_prediction = None
-        self._rows.clear()
 
     def scheduling_latency_ms(self, job: StageJob, now_ms: float) -> float:
         return self._scheduling_latency_ms
@@ -372,12 +365,6 @@ class CoServeScheduler(SchedulingPolicy):
         expert_id = job.expert_id
         row = self._rows[expert_id]
         view = self._view
-        if len(view) == 1:
-            executor = view[0]
-            k_ms, new_group = row[0]
-            additional = k_ms if expert_id in executor.queue.queued_experts else new_group
-            self._last_prediction = (job, executor, additional)
-            return executor
         finishes: List[float] = []
         busiest = -_INF
         for executor in view:

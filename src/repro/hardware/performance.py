@@ -16,7 +16,7 @@ GPU, batch 5 on the UMA CPU).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.hardware.processor import ProcessorKind
 
@@ -107,9 +107,6 @@ class DevicePerformanceModel:
     def architectures(self) -> Tuple[str, ...]:
         """Names of architectures with at least one profile."""
         return tuple(sorted({arch for arch, _ in self._profiles}))
-
-    def keys(self) -> Iterable[ProfileKey]:
-        return self._profiles.keys()
 
     def profile(self, architecture: str, processor: ProcessorKind) -> ExecutionProfile:
         """Return the profile for an (architecture, processor) pair."""

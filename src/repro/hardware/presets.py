@@ -27,7 +27,9 @@ figures is reproduced:
   (Figure 12).
 
 Absolute values are estimates for the published hardware, not
-measurements; see DESIGN.md §4 and EXPERIMENTS.md.
+measurements; the figure modules of :mod:`repro.experiments`
+regenerate each calibrated effect, and ``docs/ARCHITECTURE.md`` maps
+the layers.
 """
 
 from __future__ import annotations

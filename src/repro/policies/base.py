@@ -1,11 +1,13 @@
 """Eviction policy interface.
 
-A policy observes loads and accesses (so it can maintain recency or
-frequency state) and, when asked, produces a *victim ordering*: the
-resident experts of one executor's model pool, ordered from the most to
-the least attractive eviction candidate.  The simulator evicts experts
-in that order until the incoming expert fits; separating "ordering"
-(policy) from "how many" (simulator) keeps every policy small.
+A policy observes loads, accesses and evictions (so it can maintain
+recency or frequency state) and, when asked, produces a *victim
+ordering*: evictable residents of one model pool, from the most to the
+least attractive eviction candidate, cut off once they cover the bytes
+the incoming expert needs.  The simulator evicts experts in that order
+until the incoming expert fits; separating "ordering" (policy) from
+"how many" (simulator) keeps every policy small.  A policy serves one
+run: every serving system builds fresh policies per simulation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import abc
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Callable, Dict, List, Mapping, Sequence, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -31,30 +33,26 @@ class EvictionContext:
         Experts currently resident in the pool.
     incoming_expert_id:
         The expert that needs to be loaded.
+    bytes_to_free:
+        How many bytes must be evicted before the incoming expert fits.
+        Policies return only the victim prefix covering this amount —
+        the simulator stops evicting once the expert fits, so the
+        truncation is behaviour-preserving — or every evictable resident
+        when even all of them cannot cover it.
+    resident_bytes:
+        Sizes (in bytes) of the resident experts, used to measure how
+        much a victim prefix frees.
     protected_expert_ids:
         Experts that must not be evicted (e.g. experts currently being
         executed by an executor sharing the pool).
-    now_ms:
-        Current virtual time.
-    bytes_to_free:
-        How many bytes must be evicted before the incoming expert fits.
-        When set (together with ``resident_bytes``), policies may return
-        only the victim prefix covering this amount instead of a full
-        ordering — the simulator stops evicting once the expert fits, so
-        the truncation is behaviour-preserving.
-    resident_bytes:
-        Sizes (in bytes) of the resident experts, used to measure how
-        much a victim prefix frees.  ``None`` disables partial selection
-        and policies fall back to a full sort.
     """
 
     pool_name: str
     resident_expert_ids: Tuple[str, ...]
     incoming_expert_id: str
+    bytes_to_free: int
+    resident_bytes: Mapping[str, int]
     protected_expert_ids: AbstractSet[str] = frozenset()
-    now_ms: float = 0.0
-    bytes_to_free: Optional[int] = None
-    resident_bytes: Optional[Mapping[str, int]] = None
 
     def evictable(self) -> Tuple[str, ...]:
         """Residents that may legally be evicted."""
@@ -66,8 +64,8 @@ class EvictionContext:
 def select_victims(
     candidates: Sequence[str],
     sort_key: Callable[[str], object],
-    bytes_to_free: Optional[int] = None,
-    resident_bytes: Optional[Mapping[str, int]] = None,
+    bytes_to_free: int,
+    resident_bytes: Mapping[str, int],
 ) -> List[str]:
     """Order eviction candidates, stopping once enough bytes are covered.
 
@@ -80,11 +78,7 @@ def select_victims(
     suffice.  ``sort_key`` must induce a total order (every policy
     breaks ties on the expert id), so the partial selection returns
     exactly the same prefix as the full sort.
-
-    Without byte information the full sorted order is returned.
     """
-    if bytes_to_free is None or resident_bytes is None:
-        return sorted(candidates, key=sort_key)
     if bytes_to_free <= 0 or not candidates:
         return []
     # Decorate once: every selection round compares C-level tuples
@@ -118,19 +112,13 @@ def select_victims(
 class EvictionPolicy(abc.ABC):
     """Base class for expert replacement policies."""
 
-    #: Human-readable policy name used in reports.
-    name: str = "base"
-
-    def reset(self) -> None:
-        """Forget all recorded history (called between runs)."""
-
-    def record_load(self, pool_name: str, expert_id: str, now_ms: float) -> None:
+    def record_load(self, pool_name: str, expert_id: str) -> None:
         """Notify the policy that an expert was loaded into a pool."""
 
-    def record_access(self, pool_name: str, expert_id: str, now_ms: float) -> None:
+    def record_access(self, pool_name: str, expert_id: str) -> None:
         """Notify the policy that a resident expert served a batch."""
 
-    def record_eviction(self, pool_name: str, expert_id: str, now_ms: float) -> None:
+    def record_eviction(self, pool_name: str, expert_id: str) -> None:
         """Notify the policy that an expert was evicted from a pool."""
 
     @abc.abstractmethod
@@ -162,9 +150,6 @@ class _PerPoolRecencyPolicy(EvictionPolicy):
     def __init__(self) -> None:
         self._order: Dict[str, "OrderedDict[str, None]"] = {}
 
-    def reset(self) -> None:
-        self._order.clear()
-
     def _bump(self, pool_name: str, expert_id: str) -> None:
         pool_order = self._order.get(pool_name)
         if pool_order is None:
@@ -185,10 +170,10 @@ class _PerPoolRecencyPolicy(EvictionPolicy):
         Semantically ``select_victims(context.evictable(), key=(tick,
         expert_id), ...)``: residents never bumped (tick 0 — cannot
         happen through the engine, which records every load) come first
-        in id order, then bumped residents in bump order; with byte
-        information present the list is truncated once the victims
-        cover the requested amount, and — like ``select_victims`` —
-        the full order is returned when even that cannot cover it.
+        in id order, then bumped residents in bump order; the list is
+        truncated once the victims cover the requested amount, and —
+        like ``select_victims`` — the full order is returned when even
+        that cannot cover it.
         """
         pool_order = self._order.get(context.pool_name)
         if pool_order is None:
@@ -204,12 +189,6 @@ class _PerPoolRecencyPolicy(EvictionPolicy):
         never_bumped = sorted(missing.difference(blocked)) if missing else []
         bytes_to_free = context.bytes_to_free
         sizes = context.resident_bytes
-        if bytes_to_free is None or sizes is None:
-            return never_bumped + [
-                expert_id
-                for expert_id in pool_order
-                if expert_id in resident_set and expert_id not in blocked
-            ]
         if bytes_to_free <= 0:
             return []
         victims: List[str] = []

@@ -20,12 +20,10 @@ class FIFOPolicy(_PerPoolRecencyPolicy):
     directly.
     """
 
-    name = "fifo"
-
-    def record_load(self, pool_name: str, expert_id: str, now_ms: float) -> None:
+    def record_load(self, pool_name: str, expert_id: str) -> None:
         self._bump(pool_name, expert_id)
 
-    def record_eviction(self, pool_name: str, expert_id: str, now_ms: float) -> None:
+    def record_eviction(self, pool_name: str, expert_id: str) -> None:
         self._forget(pool_name, expert_id)
 
     def victim_order(self, context: EvictionContext) -> List[str]:

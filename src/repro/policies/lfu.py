@@ -16,28 +16,21 @@ from repro.policies.base import EvictionContext, EvictionPolicy, select_victims
 class LFUPolicy(EvictionPolicy):
     """Evict the resident expert with the fewest recorded accesses."""
 
-    name = "lfu"
-
     def __init__(self) -> None:
         self._access_counts: Dict[Tuple[str, str], int] = {}
         self._load_order: Dict[Tuple[str, str], int] = {}
         self._tick = 0
 
-    def reset(self) -> None:
-        self._access_counts.clear()
-        self._load_order.clear()
-        self._tick = 0
-
-    def record_load(self, pool_name: str, expert_id: str, now_ms: float) -> None:
+    def record_load(self, pool_name: str, expert_id: str) -> None:
         self._tick += 1
         self._load_order[(pool_name, expert_id)] = self._tick
         self._access_counts.setdefault((pool_name, expert_id), 0)
 
-    def record_access(self, pool_name: str, expert_id: str, now_ms: float) -> None:
+    def record_access(self, pool_name: str, expert_id: str) -> None:
         key = (pool_name, expert_id)
         self._access_counts[key] = self._access_counts.get(key, 0) + 1
 
-    def record_eviction(self, pool_name: str, expert_id: str, now_ms: float) -> None:
+    def record_eviction(self, pool_name: str, expert_id: str) -> None:
         self._access_counts.pop((pool_name, expert_id), None)
         self._load_order.pop((pool_name, expert_id), None)
 

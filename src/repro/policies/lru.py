@@ -23,13 +23,11 @@ class LRUPolicy(_PerPoolRecencyPolicy):
     per eviction).
     """
 
-    name = "lru"
-
     # Both hooks are _bump, inlined: they fire once per batch start and
     # once per expert load, and the delegating frame is measurable at
     # million-request scale.
 
-    def record_load(self, pool_name: str, expert_id: str, now_ms: float) -> None:
+    def record_load(self, pool_name: str, expert_id: str) -> None:
         pool_order = self._order.get(pool_name)
         if pool_order is None:
             self._order[pool_name] = OrderedDict({expert_id: None})
@@ -40,7 +38,7 @@ class LRUPolicy(_PerPoolRecencyPolicy):
 
     record_access = record_load
 
-    def record_eviction(self, pool_name: str, expert_id: str, now_ms: float) -> None:
+    def record_eviction(self, pool_name: str, expert_id: str) -> None:
         self._forget(pool_name, expert_id)
 
     def victim_order(self, context: EvictionContext) -> List[str]:

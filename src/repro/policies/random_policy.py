@@ -16,14 +16,8 @@ from repro.policies.base import EvictionContext, EvictionPolicy
 class RandomPolicy(EvictionPolicy):
     """Evict residents in a random (seeded) order."""
 
-    name = "random"
-
     def __init__(self, seed: int = 0) -> None:
-        self._seed = seed
         self._rng = np.random.default_rng(seed)
-
-    def reset(self) -> None:
-        self._rng = np.random.default_rng(self._seed)
 
     def victim_order(self, context: EvictionContext) -> List[str]:
         candidates = list(context.evictable())

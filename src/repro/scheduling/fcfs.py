@@ -17,8 +17,6 @@ from repro.simulation.request import StageJob
 class FCFSScheduling(SchedulingPolicy):
     """Send every request to the (single) primary executor, in order."""
 
-    name = "fcfs"
-
     def __init__(self, batch_size: int = 1) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")

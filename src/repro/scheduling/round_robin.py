@@ -2,65 +2,27 @@
 
 Used by the Samba-CoE Parallel baseline (§5.1): incoming requests are
 distributed among the inference executors in a round-robin manner, with
-no expert-aware reordering.
+no expert-aware reordering and no batching.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.hardware.processor import ProcessorKind
 from repro.simulation.executor import Executor
 from repro.simulation.interfaces import SchedulingPolicy
 from repro.simulation.request import StageJob
 
 
 class RoundRobinScheduling(SchedulingPolicy):
-    """Distribute requests across executors in arrival order.
+    """Distribute requests across executors in arrival order, one each."""
 
-    Parameters
-    ----------
-    batch_size:
-        Fixed upper bound on the executable batch size (1 reproduces
-        Samba-CoE Parallel's unbatched behaviour).
-    gpu_weight:
-        How many consecutive requests each GPU executor receives for
-        every request a CPU executor receives.  The default of 1 is a
-        plain round-robin over all executors; a higher weight avoids
-        drowning a slow CPU executor when used outside the baseline.
-    """
-
-    name = "round-robin"
-
-    def __init__(self, batch_size: int = 1, gpu_weight: int = 1) -> None:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if gpu_weight <= 0:
-            raise ValueError("gpu_weight must be positive")
-        self._batch_size = batch_size
-        self._gpu_weight = gpu_weight
+    def __init__(self) -> None:
         self._cursor = 0
-        self._slots: Optional[list] = None
-
-    def reset(self) -> None:
-        self._cursor = 0
-        self._slots = None
-
-    def _build_slots(self, executors: Sequence[Executor]) -> list:
-        slots = []
-        for index, executor in enumerate(executors):
-            weight = self._gpu_weight if executor.kind is ProcessorKind.GPU else 1
-            slots.extend([index] * weight)
-        return slots
 
     def select_executor(
         self, job: StageJob, executors: Sequence[Executor], now_ms: float
     ) -> Executor:
-        if self._slots is None or len(self._slots) == 0:
-            self._slots = self._build_slots(executors)
-        index = self._slots[self._cursor % len(self._slots)]
+        executor = executors[self._cursor % len(executors)]
         self._cursor += 1
-        return executors[index]
-
-    def max_batch_size(self, executor: Executor, expert_id: str) -> int:
-        return self._batch_size
+        return executor

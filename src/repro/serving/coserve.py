@@ -55,7 +55,7 @@ DEFAULT_CPU_EXECUTORS = {"numa": 1, "uma": 1}
 #: (Task A) / 34 (Task B) on its NUMA GPU; on the calibrated simulation
 #: substrate the same search peaks slightly higher, so the defaults
 #: reflect what `repro.serving.tuning.run_memory_allocation_search`
-#: finds here (see EXPERIMENTS.md).
+#: finds here; Figure 18 (`repro.experiments.figure18`) replays it.
 DEFAULT_GPU_EXPERT_COUNT = {"numa": 42, "uma": 40}
 #: Modelled per-decision scheduling latency (Figure 19).
 DEFAULT_SCHEDULING_LATENCY_MS = {"numa": 8.3, "uma": 2.3}
@@ -79,7 +79,6 @@ class CoServeSystem(ServingSystem):
         enable_batching: bool = True,
         scheduling_latency_ms: Optional[float] = None,
         performance_matrix: Optional[PerformanceMatrix] = None,
-        preload: bool = True,
         preload_host_cache: bool = True,
         options: Optional[SimulationOptions] = None,
         label: str = "CoServe",
@@ -107,7 +106,6 @@ class CoServeSystem(ServingSystem):
             if scheduling_latency_ms is not None
             else DEFAULT_SCHEDULING_LATENCY_MS[arch]
         )
-        self.preload = preload
         self.preload_host_cache_enabled = preload_host_cache
         self.options = options or SimulationOptions()
         self.name = label
@@ -281,10 +279,9 @@ class CoServeSystem(ServingSystem):
             options=self.options,
             system_name=self.name,
         )
-        if self.preload:
-            self._preload(
-                simulation,
-                executor_configs,
-                host_cache_bytes if self.preload_host_cache_enabled else 0,
-            )
+        self._preload(
+            simulation,
+            executor_configs,
+            host_cache_bytes if self.preload_host_cache_enabled else 0,
+        )
         return simulation

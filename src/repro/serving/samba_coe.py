@@ -51,8 +51,6 @@ class SambaCoESystem(ServingSystem):
         parallel: bool = False,
         gpu_executors: int = 1,
         cpu_executors: int = 0,
-        batch_size: int = 1,
-        preload: bool = True,
         performance_matrix: Optional[PerformanceMatrix] = None,
         options: Optional[SimulationOptions] = None,
         label: Optional[str] = None,
@@ -65,14 +63,10 @@ class SambaCoESystem(ServingSystem):
             raise ValueError("non-parallel Samba-CoE uses exactly one GPU executor")
         if parallel and gpu_executors < 1:
             raise ValueError("the Parallel variant needs at least one GPU executor")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
         self.replacement = replacement
         self.parallel = parallel
         self.gpu_executors = gpu_executors
         self.cpu_executors = cpu_executors
-        self.batch_size = batch_size
-        self.preload = preload
         self.options = options or SimulationOptions()
         if label is None:
             if parallel:
@@ -132,9 +126,7 @@ class SambaCoESystem(ServingSystem):
         gpu_records = [
             matrix.record(architecture, ProcessorKind.GPU) for architecture in matrix.architectures
         ]
-        gpu_activation = max(
-            record.activation_bytes_per_sample * self.batch_size for record in gpu_records
-        )
+        gpu_activation = max(record.activation_bytes_per_sample for record in gpu_records)
         per_gpu_total = budget.gpu_bytes // self.gpu_executors
         pool_bytes, activation_bytes = clamp_expert_pool(
             per_gpu_total - gpu_activation,
@@ -156,9 +148,7 @@ class SambaCoESystem(ServingSystem):
             cpu_records = [
                 matrix.record(architecture, ProcessorKind.CPU) for architecture in matrix.architectures
             ]
-            cpu_activation = max(
-                record.activation_bytes_per_sample * self.batch_size for record in cpu_records
-            )
+            cpu_activation = max(record.activation_bytes_per_sample for record in cpu_records)
             if self.device.is_uma:
                 per_cpu_budget = budget.cpu_bytes // self.cpu_executors
             else:
@@ -200,9 +190,9 @@ class SambaCoESystem(ServingSystem):
         host_cache_bytes = self._host_cache_bytes(configs)
 
         if len(configs) == 1:
-            scheduler = FCFSScheduling(batch_size=self.batch_size)
+            scheduler = FCFSScheduling()
         else:
-            scheduler = RoundRobinScheduling(batch_size=self.batch_size)
+            scheduler = RoundRobinScheduling()
 
         simulation = ServingSimulation(
             device=self.device,
@@ -214,6 +204,5 @@ class SambaCoESystem(ServingSystem):
             options=self.options,
             system_name=self.name,
         )
-        if self.preload:
-            self._preload(simulation, configs, host_cache_bytes)
+        self._preload(simulation, configs, host_cache_bytes)
         return simulation

@@ -55,9 +55,9 @@ lookups rather than scans:
 * **Global residency index** — a
   :class:`~repro.simulation.residency.ResidencyIndex` maps each expert
   to the pools/tiers currently holding it, maintained by listeners on
-  every pool load/evict and host-cache put/remove.  Locating the
-  fastest source tier for a load (here and in the scheduler's latency
-  predictor) is an O(1) lookup instead of an all-executor scan.
+  every pool load/evict.  Locating the fastest source tier for a load
+  (here and in the scheduler's latency predictor) is a host-cache
+  probe plus an O(1) index lookup instead of an all-executor scan.
 * **O(E) request assigning** — CoServe's scheduler bounds every
   candidate total by the busiest queue's finish, so a decision is one
   pass over the executors (in name order) for the finishes and their
@@ -183,8 +183,6 @@ class ServingSimulation:
                 self.residency.register_pool(
                     executor.pool, device.memory_tier_for(executor.kind), rank
                 )
-        if self.host_cache is not None:
-            self.residency.register_host_cache(self.host_cache)
 
         self._compute_resources: Dict[ProcessorKind, SerialResource] = {
             executor.kind: SerialResource(name=f"compute-{executor.kind.value}")
@@ -276,7 +274,7 @@ class ServingSimulation:
                 if not executor.pool.can_fit(expert.weight_bytes):
                     continue
                 executor.pool.load(expert_id, expert.weight_bytes)
-                self.eviction_policy.record_load(executor.pool.name, expert_id, 0.0)
+                self.eviction_policy.record_load(executor.pool.name, expert_id)
 
     def preload_host_cache(self, expert_ids: Sequence[str]) -> None:
         """Stage experts in the CPU-memory cache during initialisation.
@@ -340,7 +338,7 @@ class ServingSimulation:
     # ------------------------------------------------------------------
     def _build_result(
         self,
-        stream: RequestStream,
+        stream: RequestStreamLike,
         requests: Sequence[SimRequest],
         last_completion_ms: float,
     ) -> SimulationResult:

@@ -9,9 +9,10 @@ semantics and is shared by every GPU executor of a device.
 UMA devices have no separate host tier, so they simply do not create a
 cache.
 
-Used bytes are tracked incrementally and membership changes are
-reported to registered listeners (the engine's residency index), so
-capacity checks and lookups stay O(1) however full the cache is.
+Used bytes are tracked incrementally, so capacity checks and lookups
+stay O(1) however full the cache is, and membership changes are
+reported to registered listeners (CoServe's scheduler drops an
+expert's cached prices on them).
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ class HostCache:
         self._resident: "OrderedDict[str, int]" = OrderedDict()
         self._used_bytes = 0
         self._listeners: List[object] = []
-        self.insertions = 0
-        self.evictions = 0
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
     # Listeners
@@ -68,12 +65,10 @@ class HostCache:
         return expert_id in self._resident
 
     def lookup(self, expert_id: str) -> bool:
-        """Check residency and record a hit or miss (touching on hit)."""
+        """Check residency, refreshing the expert's recency on a hit."""
         if expert_id in self._resident:
             self._resident.move_to_end(expert_id)
-            self.hits += 1
             return True
-        self.misses += 1
         return False
 
     # ------------------------------------------------------------------
@@ -95,12 +90,10 @@ class HostCache:
         while self._used_bytes + num_bytes > self.capacity_bytes and self._resident:
             victim, freed = self._resident.popitem(last=False)
             self._used_bytes -= freed
-            self.evictions += 1
             for listener in self._listeners:
                 listener.on_host_cache_remove(self, victim)
         self._resident[expert_id] = num_bytes
         self._used_bytes += num_bytes
-        self.insertions += 1
         for listener in self._listeners:
             listener.on_host_cache_put(self, expert_id)
         return True

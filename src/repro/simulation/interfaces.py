@@ -23,10 +23,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class SchedulingPolicy(abc.ABC):
-    """Decides executor assignment, queue position and batch size."""
+    """Decides executor assignment, queue position and batch size.
 
-    #: Human-readable policy name used in reports.
-    name: str = "base"
+    A policy serves one run: every serving system builds a fresh policy
+    per simulation.
+    """
 
     def attach(self, simulation: "ServingSimulation") -> None:
         """Called once before a run with the simulation being driven.
@@ -34,9 +35,6 @@ class SchedulingPolicy(abc.ABC):
         Policies that need global state (executor list, CoE model,
         performance matrix, host cache) grab it here.
         """
-
-    def reset(self) -> None:
-        """Forget any per-run state (called between runs)."""
 
     @abc.abstractmethod
     def select_executor(

@@ -258,7 +258,7 @@ def _preredesign_dispatch(simulation, executor, now, events, sequence):
 
     executor.busy_until_ms = end_ms
     executor.idle = False
-    simulation.eviction_policy.record_access(executor.pool.name, expert.expert_id, start_ms)
+    simulation.eviction_policy.record_access(executor.pool.name, expert.expert_id)
     executor.stats.batches_executed += 1
     executor.stats.stages_executed += len(batch)
     executor.stats.execution_busy_ms += execution_latency
@@ -286,7 +286,6 @@ def _preredesign_load_expert(simulation, executor, expert, now):
             resident_expert_ids=pool.resident_expert_ids(),
             incoming_expert_id=expert.expert_id,
             protected_expert_ids=frozenset(protected),
-            now_ms=now,
             bytes_to_free=needed - pool.free_bytes,
             resident_bytes=pool.resident_sizes(),
         )
@@ -294,7 +293,7 @@ def _preredesign_load_expert(simulation, executor, expert, now):
             if pool.can_fit(needed):
                 break
             freed = pool.evict(victim)
-            simulation.eviction_policy.record_eviction(pool.name, victim, now)
+            simulation.eviction_policy.record_eviction(pool.name, victim)
             evicted_any = True
             if simulation.host_cache is not None and executor.kind is ProcessorKind.GPU:
                 simulation.host_cache.put(victim, freed)
@@ -315,7 +314,7 @@ def _preredesign_load_expert(simulation, executor, expert, now):
     _, ready_ms = io_resource.acquire(now, load_latency)
 
     pool.load(expert.expert_id, expert.weight_bytes)
-    simulation.eviction_policy.record_load(pool.name, expert.expert_id, ready_ms)
+    simulation.eviction_policy.record_load(pool.name, expert.expert_id)
 
     executor.stats.expert_loads += 1
     executor.stats.load_busy_ms += load_latency

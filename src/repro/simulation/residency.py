@@ -7,12 +7,14 @@ inside the scheduler's latency predictor.  With many executors and many
 stage jobs those scans dominated the simulation hot path.
 
 The :class:`ResidencyIndex` inverts the relationship: it maps each
-expert id to the set of model pools (and the host cache) currently
-holding it, and is kept consistent by listening to every pool
-load/evict and host-cache put/remove (see
+expert id to the set of model pools currently holding it, and is kept
+consistent by listening to every pool load and evict (see
 :meth:`~repro.simulation.model_pool.ModelPool.add_listener`).  Queries
 are then O(holders) — effectively O(1), since an expert is resident in
-at most a handful of pools.
+at most a handful of pools.  The host cache is not mirrored here:
+whoever needs it (the engine's source-tier lookup, the scheduler's
+latency predictor) asks the
+:class:`~repro.simulation.host_cache.HostCache` itself.
 
 Pool preference mirrors the engine's historical scan order: each pool
 is registered with the *rank* of the first executor bound to it, and
@@ -27,7 +29,6 @@ from typing import Dict, Optional, Set, Tuple, TYPE_CHECKING
 from repro.hardware.memory import MemoryTier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simulation.host_cache import HostCache
     from repro.simulation.model_pool import ModelPool
 
 
@@ -40,8 +41,6 @@ class ResidencyIndex:
         self._pool_meta: "Dict[ModelPool, Tuple[int, MemoryTier]]" = {}
         #: expert_id -> pools currently holding it.
         self._holders: "Dict[str, Set[ModelPool]]" = {}
-        self._host_cache: "Optional[HostCache]" = None
-        self._host_cached: Set[str] = set()
 
     # ------------------------------------------------------------------
     # Registration
@@ -55,16 +54,8 @@ class ResidencyIndex:
         for expert_id in pool.resident_expert_ids():
             self._holders.setdefault(expert_id, set()).add(pool)
 
-    def register_host_cache(self, cache: "HostCache") -> None:
-        """Track the device's host-memory expert cache."""
-        if self._host_cache is not None:
-            raise ValueError("a host cache is already registered")
-        self._host_cache = cache
-        cache.add_listener(self)
-        self._host_cached.update(cache.resident_expert_ids())
-
     # ------------------------------------------------------------------
-    # Listener callbacks (ModelPool / HostCache)
+    # Listener callbacks (ModelPool)
     # ------------------------------------------------------------------
     def on_pool_load(self, pool: "ModelPool", expert_id: str) -> None:
         self._holders.setdefault(expert_id, set()).add(pool)
@@ -75,12 +66,6 @@ class ResidencyIndex:
             holders.discard(pool)
             if not holders:
                 del self._holders[expert_id]
-
-    def on_host_cache_put(self, cache: "HostCache", expert_id: str) -> None:
-        self._host_cached.add(expert_id)
-
-    def on_host_cache_remove(self, cache: "HostCache", expert_id: str) -> None:
-        self._host_cached.discard(expert_id)
 
     # ------------------------------------------------------------------
     # Queries
@@ -93,8 +78,7 @@ class ResidencyIndex:
         ``exclude_pool`` skips the asking executor's own pool (loading
         from yourself is not a transfer).  Returns ``None`` when no
         other pool holds the expert; callers fall back to the SSD (or
-        to the host cache, which is checked separately because a cache
-        probe also refreshes LRU recency).
+        to the host cache, which they ask first).
         """
         holders = self._holders.get(expert_id)
         if not holders:
@@ -112,7 +96,7 @@ class ResidencyIndex:
     # Diagnostics
     # ------------------------------------------------------------------
     def check_consistency(self) -> None:
-        """Verify the index against the ground-truth pools and cache.
+        """Verify the index against the ground-truth pools.
 
         Used by tests; raises ``AssertionError`` on any divergence.
         """
@@ -128,11 +112,3 @@ class ResidencyIndex:
                     f"residency index lists expert '{expert_id}' in pool "
                     f"'{pool.name}' but the pool does not hold it"
                 )
-        if self._host_cache is not None:
-            actual = set(self._host_cache.resident_expert_ids())
-            assert actual == self._host_cached, (
-                "host-cache residency diverged: "
-                f"index={sorted(self._host_cached)} cache={sorted(actual)}"
-            )
-        else:
-            assert not self._host_cached

@@ -25,8 +25,6 @@ class SerialResource:
 
     name: str
     available_at_ms: float = 0.0
-    busy_ms: float = 0.0
-    operations: int = 0
 
     def acquire(self, now_ms: float, duration_ms: float) -> Tuple[float, float]:
         """Reserve the resource for ``duration_ms`` starting at/after ``now_ms``.
@@ -39,17 +37,4 @@ class SerialResource:
         start = max(now_ms, self.available_at_ms)
         end = start + duration_ms
         self.available_at_ms = end
-        self.busy_ms += duration_ms
-        self.operations += 1
         return start, end
-
-    def utilisation(self, horizon_ms: float) -> float:
-        """Fraction of a time horizon the resource spent busy."""
-        if horizon_ms <= 0:
-            return 0.0
-        return min(1.0, self.busy_ms / horizon_ms)
-
-    def reset(self) -> None:
-        self.available_at_ms = 0.0
-        self.busy_ms = 0.0
-        self.operations = 0

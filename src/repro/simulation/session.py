@@ -896,7 +896,7 @@ class SimulationSession:
 
         executor.busy_until_ms = end_ms
         executor.idle = False
-        self._record_access(executor.pool.name, expert.expert_id, start_ms)
+        self._record_access(executor.pool.name, expert.expert_id)
         stats = executor.stats
         stats.batches_executed += 1
         stats.stages_executed += len(batch)
@@ -943,7 +943,6 @@ class SimulationSession:
                 resident_expert_ids=pool.resident_expert_ids(),
                 incoming_expert_id=expert.expert_id,
                 protected_expert_ids=protected,
-                now_ms=now,
                 bytes_to_free=needed - pool.free_bytes,
                 resident_bytes=pool.resident_sizes(),
             )
@@ -951,7 +950,7 @@ class SimulationSession:
                 if pool.can_fit(needed):
                     break
                 freed = pool.evict(victim)
-                self._record_eviction(pool.name, victim, now)
+                self._record_eviction(pool.name, victim)
                 evicted_any = True
                 if self._on_expert_evict:
                     event = ExpertEvict(
@@ -990,7 +989,7 @@ class SimulationSession:
         _, ready_ms = io_resource.acquire(now, load_latency)
 
         pool.load(expert.expert_id, expert.weight_bytes)
-        self._record_load(pool.name, expert.expert_id, ready_ms)
+        self._record_load(pool.name, expert.expert_id)
 
         stats = executor.stats
         stats.expert_loads += 1

@@ -322,7 +322,6 @@ def spawn_local_workers(
     count: int = 2,
     host: str = "127.0.0.1",
     max_cells: Optional[int] = None,
-    python: Optional[str] = None,
     cwd: Optional[str] = None,
 ) -> LocalWorkerPool:
     """Start ``count`` sweep workers on this machine, on ephemeral ports.
@@ -365,7 +364,7 @@ def spawn_local_workers(
         _GENERATED_AUTHKEY_REFS[authkey_value] += 1
         owns_authkey_env = True
     environment["COSERVE_SWEEP_AUTHKEY"] = authkey_value
-    command = [python or sys.executable, "-m", "repro.sweeps.worker", "--host", host, "--port", "0"]
+    command = [sys.executable, "-m", "repro.sweeps.worker", "--host", host, "--port", "0"]
     if max_cells is not None:
         command += ["--max-cells", str(max_cells)]
     processes: List["subprocess.Popen[str]"] = []

@@ -32,7 +32,6 @@ from repro.workload.generator import (
     iter_request_stream,
 )
 from repro.workload.tasks import Task, standard_tasks, task_by_name
-from repro.workload.dataset import SampleDataset, make_sample_dataset
 
 __all__ = [
     "STREAM_FORMAT",
@@ -50,6 +49,4 @@ __all__ = [
     "Task",
     "standard_tasks",
     "task_by_name",
-    "SampleDataset",
-    "make_sample_dataset",
 ]

@@ -61,6 +61,7 @@ class TestAgainstPaperClaims:
             "coserve-best", numa_device, small_model, pressure_usage, performance_matrix=numa_matrix
         ).serve(pressure_stream)
         # On the reduced test workload we only require a clear win (the
-        # full-scale band of 4.5x-12x is checked in EXPERIMENTS.md).
+        # paper's full-scale band of 4.5x-12x is transcribed in
+        # repro.analysis.paper_reference.paper_speedup_band).
         assert coserve.throughput_rps / samba.throughput_rps > 1.5
         assert coserve.expert_switches < 0.8 * samba.expert_switches

@@ -40,12 +40,14 @@ def usage():
 
 
 def make_context(resident, incoming="cls/x", protected=()):
+    """A context asking for more bytes than the residents hold: the full order."""
     return EvictionContext(
         pool_name="pool-gpu",
         resident_expert_ids=tuple(resident),
         incoming_expert_id=incoming,
+        bytes_to_free=len(resident) + 1,
+        resident_bytes={expert: 1 for expert in resident},
         protected_expert_ids=frozenset(protected),
-        now_ms=0.0,
     )
 
 
@@ -219,16 +221,18 @@ def test_victim_order_matches_brute_force_figure_10(shared_model, data):
     protected = data.draw(st.sets(st.sampled_from(candidates)))
     incoming = data.draw(st.sampled_from(candidates + ["not-in-the-model"]))
     policy = DependencyAwareEvictionPolicy(shared_model, usage)
+    sizes = {e: shared_model.expert(e).weight_bytes for e in resident}
     context = EvictionContext(
         pool_name="pool-gpu",
         resident_expert_ids=tuple(resident),
         incoming_expert_id=incoming,
+        bytes_to_free=sum(sizes.values()) + 1,
+        resident_bytes=sizes,
         protected_expert_ids=frozenset(protected),
     )
     expected = figure_10_order(shared_model, usage, resident, protected, incoming)
     assert policy.victim_order(context) == expected
 
-    sizes = {e: shared_model.expert(e).weight_bytes for e in resident}
     boundaries = list(itertools.accumulate(sizes[e] for e in expected))
     bytes_to_free = data.draw(
         st.integers(min_value=-1, max_value=sum(sizes.values()) + 1)

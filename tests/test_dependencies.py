@@ -5,10 +5,12 @@ module installed breaks ``pip install`` users and CI alike, so this
 walks every module under ``src/repro`` — function-local and
 ``TYPE_CHECKING`` imports included — and checks each absolute import
 against the standard library and ``install_requires``.  The same walk
-flags names a module imports and never uses.
+flags names a module imports and never uses, and annotation names it
+never binds.
 """
 
 import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -63,29 +65,47 @@ def _imported_bindings(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
+def _annotation_names(tree):
+    """``(name, line)`` for every name an annotation reads, string
+    annotations parsed (a name inside one gets the annotation's line)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            annotations.append((node.annotation, node.annotation.lineno))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append((node.returns, node.returns.lineno))
+    while annotations:
+        annotation, line = annotations.pop()
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Name):
+                yield node.id, line
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:  # a string annotation, e.g. "Optional[ServingSimulation]"
+                    annotations.append((ast.parse(node.value, mode="eval").body, line))
+                except SyntaxError:  # a plain string, e.g. inside Literal[...]
+                    pass
+
+
 def _used_names(tree):
     """Every name the module reads, string annotations and ``__all__`` included."""
-    annotations = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
-        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
-            annotations.append(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
-            annotations.append(node.returns)
         elif isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             yield from ast.literal_eval(node.value)
-    while annotations:
-        for node in ast.walk(annotations.pop()):
-            if isinstance(node, ast.Name):
-                yield node.id
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                try:  # a string annotation, e.g. "Optional[ServingSimulation]"
-                    annotations.append(ast.parse(node.value, mode="eval").body)
-                except SyntaxError:  # a plain string, e.g. inside Literal[...]
-                    pass
+    yield from (name for name, _ in _annotation_names(tree))
+
+
+def _bound_names(tree):
+    """Every name the module imports, defines or assigns, at any depth."""
+    yield from (name for name, _ in _imported_bindings(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
 
 
 def test_no_unused_imports():
@@ -105,3 +125,21 @@ def test_no_unused_imports():
             if name not in used and "# noqa: F401" not in lines[line - 1]
         )
     assert unused == []
+
+
+def test_annotation_names_are_bound():
+    """Every name an annotation reads is imported, defined or assigned in
+    its module, or is a builtin.  Annotations are not evaluated
+    (``from __future__ import annotations``), so nothing else notices a
+    type name the module never imports."""
+    builtin_names = set(dir(builtins))
+    unbound = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = set(_bound_names(tree)) | builtin_names
+        unbound.extend(
+            f"{path.relative_to(ROOT).as_posix()}:{line}: {name}"
+            for name, line in _annotation_names(tree)
+            if name not in bound
+        )
+    assert unbound == []

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hardware.memory import MemoryTier
 from repro.serving import SYSTEM_NAMES, CoServeSystem, build_system
-from repro.simulation.host_cache import HostCache
 from repro.simulation.model_pool import ModelPool
 from repro.simulation.queueing import RequestQueue
 from repro.simulation.reference import ReferenceRequestQueue, preredesign_run, referencify
@@ -167,26 +166,18 @@ class TestResidencyIndex:
         }
         for pool, (rank, tier) in pools.items():
             index.register_pool(pool, tier, rank)
-        cache = HostCache(600)
-        index.register_host_cache(cache)
         experts = [f"e{i}" for i in range(12)]
 
         for _ in range(600):
-            action = rng.randrange(6)
+            action = rng.randrange(3)
             pool = rng.choice(list(pools))
             expert = rng.choice(experts)
             if action == 0 and not pool.contains(expert) and pool.can_fit(100):
                 pool.load(expert, 100)
             elif action == 1 and pool.contains(expert):
                 pool.evict(expert)
-            elif action == 2:
-                cache.put(expert, rng.choice([100, 250]))
-            elif action == 3:
-                cache.remove(expert)
-            elif action == 4 and rng.random() < 0.05:
+            elif action == 2 and rng.random() < 0.05:
                 pool.clear()
-            elif action == 5 and rng.random() < 0.05:
-                cache.clear()
             index.check_consistency()
             probe = rng.choice(experts)
             exclude = rng.choice(list(pools) + [None])

@@ -10,12 +10,14 @@ from repro.policies.base import select_victims
 
 
 def make_context(resident, incoming="new", protected=(), pool="pool-gpu"):
+    """A context asking for more bytes than the residents hold: the full order."""
     return EvictionContext(
         pool_name=pool,
         resident_expert_ids=tuple(resident),
         incoming_expert_id=incoming,
+        bytes_to_free=len(resident) + 1,
+        resident_bytes={expert: 1 for expert in resident},
         protected_expert_ids=frozenset(protected),
-        now_ms=0.0,
     )
 
 
@@ -33,40 +35,39 @@ class TestLRU:
     def test_least_recently_used_first(self):
         policy = LRUPolicy()
         for expert in ("a", "b", "c"):
-            policy.record_load("pool-gpu", expert, 0.0)
-        policy.record_access("pool-gpu", "a", 1.0)
+            policy.record_load("pool-gpu", expert)
+        policy.record_access("pool-gpu", "a")
         order = policy.victim_order(make_context(["a", "b", "c"]))
         assert order == ["b", "c", "a"]
 
     def test_access_refreshes_recency(self):
         policy = LRUPolicy()
-        policy.record_load("pool-gpu", "a", 0.0)
-        policy.record_load("pool-gpu", "b", 1.0)
-        policy.record_access("pool-gpu", "a", 2.0)
+        policy.record_load("pool-gpu", "a")
+        policy.record_load("pool-gpu", "b")
+        policy.record_access("pool-gpu", "a")
         assert policy.victim_order(make_context(["a", "b"]))[0] == "b"
 
     def test_per_pool_isolation(self):
         policy = LRUPolicy()
-        policy.record_load("pool-gpu", "a", 0.0)
-        policy.record_load("pool-cpu", "a", 5.0)
-        policy.record_load("pool-gpu", "b", 1.0)
+        policy.record_load("pool-gpu", "a")
+        policy.record_load("pool-cpu", "a")
+        policy.record_load("pool-gpu", "b")
         assert policy.victim_order(make_context(["a", "b"], pool="pool-gpu"))[0] == "a"
 
     def test_eviction_forgets_history(self):
         policy = LRUPolicy()
-        policy.record_load("pool-gpu", "a", 0.0)
-        policy.record_access("pool-gpu", "a", 5.0)
-        policy.record_eviction("pool-gpu", "a", 6.0)
-        policy.record_load("pool-gpu", "b", 7.0)
+        policy.record_load("pool-gpu", "a")
+        policy.record_access("pool-gpu", "a")
+        policy.record_eviction("pool-gpu", "a")
+        policy.record_load("pool-gpu", "b")
         # "a" has no history now, so it sorts before "b".
         assert policy.victim_order(make_context(["a", "b"]))[0] == "a"
 
-    def test_reset_clears_state(self):
+    def test_unrecorded_residents_first_in_id_order(self):
         policy = LRUPolicy()
-        policy.record_load("pool-gpu", "a", 0.0)
-        policy.reset()
-        order = policy.victim_order(make_context(["a", "b"]))
-        assert order == ["a", "b"]  # ties broken by id
+        policy.record_load("pool-gpu", "a")
+        order = policy.victim_order(make_context(["c", "a", "b"]))
+        assert order == ["b", "c", "a"]
 
     def test_never_returns_incoming_expert(self):
         policy = LRUPolicy()
@@ -77,17 +78,17 @@ class TestLRU:
 class TestFIFO:
     def test_oldest_load_first_regardless_of_access(self):
         policy = FIFOPolicy()
-        policy.record_load("p", "a", 0.0)
-        policy.record_load("p", "b", 1.0)
-        policy.record_access("p", "a", 5.0)  # FIFO ignores accesses
+        policy.record_load("p", "a")
+        policy.record_load("p", "b")
+        policy.record_access("p", "a")  # FIFO ignores accesses
         assert policy.victim_order(make_context(["a", "b"], pool="p")) == ["a", "b"]
 
     def test_reload_after_eviction_moves_to_back(self):
         policy = FIFOPolicy()
-        policy.record_load("p", "a", 0.0)
-        policy.record_load("p", "b", 1.0)
-        policy.record_eviction("p", "a", 2.0)
-        policy.record_load("p", "a", 3.0)
+        policy.record_load("p", "a")
+        policy.record_load("p", "b")
+        policy.record_eviction("p", "a")
+        policy.record_load("p", "a")
         assert policy.victim_order(make_context(["a", "b"], pool="p")) == ["b", "a"]
 
 
@@ -95,26 +96,26 @@ class TestLFU:
     def test_least_frequent_first(self):
         policy = LFUPolicy()
         for expert in ("a", "b"):
-            policy.record_load("p", expert, 0.0)
+            policy.record_load("p", expert)
         for _ in range(3):
-            policy.record_access("p", "a", 1.0)
-        policy.record_access("p", "b", 1.0)
+            policy.record_access("p", "a")
+        policy.record_access("p", "b")
         assert policy.victim_order(make_context(["a", "b"], pool="p")) == ["b", "a"]
 
     def test_frequency_ties_broken_by_load_order(self):
         policy = LFUPolicy()
-        policy.record_load("p", "a", 0.0)
-        policy.record_load("p", "b", 1.0)
+        policy.record_load("p", "a")
+        policy.record_load("p", "b")
         assert policy.victim_order(make_context(["a", "b"], pool="p")) == ["a", "b"]
 
     def test_eviction_resets_frequency(self):
         policy = LFUPolicy()
-        policy.record_load("p", "a", 0.0)
-        policy.record_access("p", "a", 1.0)
-        policy.record_eviction("p", "a", 2.0)
-        policy.record_load("p", "a", 3.0)
-        policy.record_load("p", "b", 4.0)
-        policy.record_access("p", "b", 5.0)
+        policy.record_load("p", "a")
+        policy.record_access("p", "a")
+        policy.record_eviction("p", "a")
+        policy.record_load("p", "a")
+        policy.record_load("p", "b")
+        policy.record_access("p", "b")
         assert policy.victim_order(make_context(["a", "b"], pool="p"))[0] == "a"
 
 
@@ -136,21 +137,14 @@ class TestRandom:
         order = RandomPolicy(seed=0).victim_order(make_context(residents, incoming="e0"))
         assert sorted(order) == sorted(residents[1:])
 
-    def test_reset_restores_sequence(self):
-        policy = RandomPolicy(seed=3)
-        first = policy.victim_order(make_context([f"e{i}" for i in range(10)]))
-        policy.reset()
-        second = policy.victim_order(make_context([f"e{i}" for i in range(10)]))
-        assert first == second
-
 
 def _policy_with_history(policy_class, residents, rng):
     """A policy whose counters reflect a random load/access history."""
     policy = policy_class()
     for expert in residents:
-        policy.record_load("p", expert, 0.0)
+        policy.record_load("p", expert)
     for _ in range(len(residents) * 3):
-        policy.record_access("p", rng.choice(residents), rng.random())
+        policy.record_access("p", rng.choice(residents))
     return policy
 
 
@@ -185,10 +179,6 @@ class TestPartialSelection:
             make_context(["a", "b"]), bytes_to_free=0, resident_bytes={"a": 1, "b": 1}
         )
         assert policy.victim_order(context) == []
-
-    def test_select_victims_without_sizes_is_full_sort(self):
-        order = select_victims(["b", "c", "a"], lambda e: e)
-        assert order == ["a", "b", "c"]
 
     def test_select_victims_covers_requested_bytes(self):
         sizes = {f"e{i}": 10 for i in range(30)}

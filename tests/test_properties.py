@@ -127,11 +127,11 @@ def test_queue_grouped_insertion_keeps_same_expert_contiguous(expert_indices):
 @settings(max_examples=80, deadline=None)
 def test_policies_return_permutation_of_evictable(policy_cls, history, resident_indices):
     policy = policy_cls()
-    for tick, (op, index) in enumerate(history):
+    for op, index in history:
         if op == "load":
-            policy.record_load("pool", f"e{index}", float(tick))
+            policy.record_load("pool", f"e{index}")
         else:
-            policy.record_access("pool", f"e{index}", float(tick))
+            policy.record_access("pool", f"e{index}")
     resident = tuple(sorted(f"e{i}" for i in resident_indices))
     if not resident:
         return
@@ -139,8 +139,9 @@ def test_policies_return_permutation_of_evictable(policy_cls, history, resident_
         pool_name="pool",
         resident_expert_ids=resident,
         incoming_expert_id="incoming",
+        bytes_to_free=len(resident) + 1,
+        resident_bytes={expert: 1 for expert in resident},
         protected_expert_ids=frozenset({resident[0]}),
-        now_ms=0.0,
     )
     order = policy.victim_order(context)
     assert sorted(order) == sorted(context.evictable())

@@ -52,22 +52,5 @@ class TestRoundRobin:
         names = [policy.select_executor(make_job(i), executors, 0.0).name for i in range(6)]
         assert names == ["gpu-0", "gpu-1", "cpu-0", "gpu-0", "gpu-1", "cpu-0"]
 
-    def test_gpu_weight_biases_distribution(self):
-        policy = RoundRobinScheduling(gpu_weight=2)
-        executors = [make_executor("gpu-0"), make_executor("cpu-0", ProcessorKind.CPU)]
-        names = [policy.select_executor(make_job(i), executors, 0.0).name for i in range(6)]
-        assert names.count("gpu-0") == 4
-        assert names.count("cpu-0") == 2
-
-    def test_reset_restarts_cycle(self):
-        policy = RoundRobinScheduling()
-        executors = [make_executor("gpu-0"), make_executor("gpu-1")]
-        policy.select_executor(make_job(0), executors, 0.0)
-        policy.reset()
-        assert policy.select_executor(make_job(1), executors, 0.0).name == "gpu-0"
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            RoundRobinScheduling(batch_size=0)
-        with pytest.raises(ValueError):
-            RoundRobinScheduling(gpu_weight=0)
+    def test_no_batching(self):
+        assert RoundRobinScheduling().max_batch_size(make_executor("gpu-0"), "e0") == 1

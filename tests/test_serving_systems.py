@@ -198,3 +198,24 @@ class TestEndToEndBehaviour:
         profile = ServingSystem.usage_profile_from_stream(small_model, small_stream)
         assert len(profile) == len(small_model)
         assert max(profile.probabilities.values()) <= 1.0
+
+
+class TestRepeatedServing:
+    """Policies have no ``reset()``: every build hands its run new ones."""
+
+    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    def test_second_serve_matches_a_fresh_system(
+        self, name, served_results, numa_device, small_model, small_stream, pressure_stream,
+        pressure_usage, numa_matrix,
+    ):
+        system = build_system(
+            name, numa_device, small_model, pressure_usage, performance_matrix=numa_matrix
+        )
+        first, second = system.build_simulation(), system.build_simulation()
+        assert first.scheduling_policy is not second.scheduling_policy
+        assert first.eviction_policy is not second.eviction_policy
+
+        # Another stream first, so state carried over (a round-robin
+        # cursor, say) would start the pressure run somewhere else.
+        system.serve(small_stream)
+        assert system.serve(pressure_stream) == served_results[name]

@@ -67,9 +67,7 @@ class TestHostCache:
         cache = HostCache(1000)
         assert cache.put("a", 400)
         assert cache.lookup("a")
-        assert cache.hits == 1
         assert not cache.lookup("b")
-        assert cache.misses == 1
 
     def test_lru_eviction_order(self):
         cache = HostCache(1000)
@@ -80,7 +78,6 @@ class TestHostCache:
         assert cache.contains("a")
         assert not cache.contains("b")
         assert cache.contains("c")
-        assert cache.evictions == 1
 
     def test_oversized_item_not_cached(self):
         cache = HostCache(100)
@@ -117,24 +114,10 @@ class TestSerialResource:
         resource.acquire(0.0, 10.0)
         start, end = resource.acquire(100.0, 10.0)
         assert start == 100.0 and end == 110.0
-        assert resource.busy_ms == 20.0
-
-    def test_utilisation(self):
-        resource = SerialResource("gpu")
-        resource.acquire(0.0, 50.0)
-        assert resource.utilisation(100.0) == pytest.approx(0.5)
-        assert resource.utilisation(0.0) == 0.0
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             SerialResource("x").acquire(0.0, -1.0)
-
-    def test_reset(self):
-        resource = SerialResource("x")
-        resource.acquire(0.0, 5.0)
-        resource.reset()
-        assert resource.available_at_ms == 0.0
-        assert resource.operations == 0
 
 
 class TestRequestQueue:

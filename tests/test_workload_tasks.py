@@ -1,10 +1,9 @@
-"""Tests for the evaluation tasks and sample datasets."""
+"""Tests for the evaluation tasks and their sample streams."""
 
 import pytest
 
-from repro.workload.dataset import make_sample_dataset
 from repro.workload.tasks import Task, standard_tasks, task_by_name
-from repro.workload.circuit_board import make_board, build_inspection_model
+from repro.workload.circuit_board import make_board
 
 
 class TestStandardTasks:
@@ -57,24 +56,3 @@ class TestStandardTasks:
 def make_board_factory():
     return lambda: make_board("X", component_types=10, detection_groups=2)
 
-
-class TestSampleDataset:
-    def test_sample_dataset_size(self):
-        board = make_board("X", component_types=10, detection_groups=2)
-        model = build_inspection_model(board)
-        dataset = make_sample_dataset(board, model, size=50, seed=1)
-        assert dataset.size == 50
-        assert dataset.stream.board_name == "X"
-
-    def test_category_weights_match_counts(self):
-        board = make_board("X", component_types=10, detection_groups=2)
-        model = build_inspection_model(board)
-        dataset = make_sample_dataset(board, model, size=80, seed=1)
-        weights = dataset.category_weights()
-        assert sum(weights.values()) == 80
-
-    def test_invalid_size_rejected(self):
-        board = make_board("X", component_types=10, detection_groups=2)
-        model = build_inspection_model(board)
-        with pytest.raises(ValueError):
-            make_sample_dataset(board, model, size=0)
