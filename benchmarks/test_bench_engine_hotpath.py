@@ -12,6 +12,12 @@ regime where per-event costs dominate):
   expert group (:meth:`~repro.core.scheduler.LatencyPredictor.new_group_ms`)
   once per pool and processor kind when an expert is first decided and
   again only after that expert's residency changes, never per decision.
+* **Eviction without a pool scan** — another: dependency-aware eviction
+  walks stages it keeps current from the loads and evictions it is
+  told about, so no eviction asks the context for its evictable
+  residents or iterates the pool's resident snapshot.
+* **Real migrations only** — every ``TierMigration`` event is a new
+  copy in the host cache, one per insertion the cache reports.
 * **Observer overhead** — the session path behind ``run()`` (typed
   events dispatched to the built-in metrics observer) must stay within
   ``MAX_OBSERVER_OVERHEAD`` of the preserved pre-redesign monolithic
@@ -41,10 +47,12 @@ from recorder import record_bench_result
 from repro.core.profiler import OfflineProfiler
 from repro.core.scheduler import LatencyPredictor
 from repro.hardware.presets import make_numa_device
+from repro.policies.base import EvictionContext
 from repro.serving import CoServeSystem
 from repro.serving.base import ServingSystem
 from repro.simulation import session as session_module
 from repro.simulation.engine import SimulationOptions
+from repro.simulation.model_pool import ModelPool
 from repro.simulation.reference import preredesign_run, referencify
 from repro.workload.circuit_board import build_inspection_model, make_board
 from repro.workload.generator import generate_request_stream
@@ -161,6 +169,52 @@ def test_engine_hotpath_speedup(hotpath_case):
         f"hot-path speedup regressed: {speedup:.2f}x < {MIN_SPEEDUP}x "
         f"(reference {slow_elapsed:.3f}s, optimised {fast_elapsed:.3f}s)"
     )
+
+
+def test_eviction_never_scans_the_pool(hotpath_case, monkeypatch):
+    """Dependency-aware eviction reads no per-eviction resident scan.
+
+    The policy keeps each pool's Figure 10 stages current from
+    ``record_load`` and ``record_eviction``, so during ``run`` no
+    eviction calls :meth:`EvictionContext.evictable` or iterates the
+    resident snapshot the session passes in the context.  Rebuilding the
+    stages per eviction (one ``evictable`` call and two snapshot scans
+    each, 339 and 678 on the 16k-request flood) fails these counts,
+    which do not depend on timing.
+    """
+    stream = hotpath_case[2]
+    simulation = _build_simulation(hotpath_case)
+    scans = Counter()
+
+    class Snapshot(tuple):
+        def __iter__(self):
+            scans["snapshot_iterations"] += 1
+            return super().__iter__()
+
+        def __contains__(self, expert_id):
+            scans["snapshot_membership_tests"] += 1
+            return super().__contains__(expert_id)
+
+    resident_expert_ids = ModelPool.resident_expert_ids
+    evictable = EvictionContext.evictable
+
+    def snapshot(pool):
+        return Snapshot(resident_expert_ids(pool))
+
+    def counted_evictable(context):
+        scans["evictable_calls"] += 1
+        return evictable(context)
+
+    monkeypatch.setattr(ModelPool, "resident_expert_ids", snapshot)
+    monkeypatch.setattr(EvictionContext, "evictable", counted_evictable)
+    notifications = _listen_to_residency(simulation)
+
+    simulation.run(stream)
+
+    evictions = notifications.by_hook["on_pool_evict"]
+    print(f"\neviction scans: {dict(scans)} ({evictions} evictions)")
+    assert evictions > 0, "the flood no longer evicts"
+    assert dict(scans) == {}
 
 
 def _counting(hook):
@@ -365,3 +419,33 @@ def test_unsubscribed_events_are_never_built(hotpath_case, monkeypatch):
         "BatchStart": sum(executor.batches_executed for executor in result.executors),
         "ExpertLoad": result.expert_loads,
     }
+
+
+class _TierMigrations:
+    """Session observer counting ``TierMigration`` events."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def on_tier_migration(self, event) -> None:
+        self.count += 1
+
+
+def test_tier_migrations_are_host_cache_insertions(hotpath_case):
+    """One ``TierMigration`` per new copy the host cache stores.
+
+    An evicted expert the host cache already holds only refreshes its
+    recency there: nothing migrates, and no event may say otherwise.
+    On the 16k-request flood 16 of the evictions are such refreshes.
+    """
+    stream = hotpath_case[2]
+    simulation = _build_simulation(hotpath_case)
+    notifications = _listen_to_residency(simulation)
+    migrations = _TierMigrations()
+
+    simulation.run(stream, observers=[migrations])
+
+    insertions = notifications.by_hook["on_host_cache_put"]
+    print(f"\ntier migrations: {migrations.count} events, {insertions} host-cache insertions")
+    assert insertions > 0, "the flood no longer migrates"
+    assert migrations.count == insertions

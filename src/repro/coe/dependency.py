@@ -9,23 +9,28 @@ The graph is directed: an edge ``preliminary -> subsequent`` means the
 subsequent expert may be invoked on the output of the preliminary
 expert.  The dependency-aware expert manager (§4.3) uses it to find
 subsequent experts whose preliminary experts are not resident — those
-are the stage-1 eviction candidates.
+are the stage-1 eviction candidates — and keeps that set current from
+each expert's parents and children as experts are loaded and evicted.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Set, Tuple
+from types import MappingProxyType
+from typing import AbstractSet, Dict, Iterable, Iterator, Mapping, Set, Tuple
 
 
 class DependencyGraph:
     """Directed acyclic graph of preliminary -> subsequent expert dependencies.
 
-    Each expert maps to the set of its direct preliminary parents; that
-    is all the expert manager asks of the graph.
+    Each expert maps to the set of its direct preliminary parents and to
+    the set of its direct subsequent children, the inverse index; both
+    maps hold every expert and change only together, in
+    :meth:`add_expert` and :meth:`add_dependency`.
     """
 
     def __init__(self) -> None:
         self._parents: Dict[str, Set[str]] = {}
+        self._children: Dict[str, Set[str]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -35,6 +40,7 @@ class DependencyGraph:
         if not expert_id:
             raise ValueError("expert_id must be non-empty")
         self._parents.setdefault(expert_id, set())
+        self._children.setdefault(expert_id, set())
 
     def add_dependency(self, preliminary: str, subsequent: str) -> None:
         """Record that ``subsequent`` may run on the output of ``preliminary``.
@@ -51,6 +57,8 @@ class DependencyGraph:
             )
         self._parents.setdefault(preliminary, set())
         self._parents.setdefault(subsequent, set()).add(preliminary)
+        self._children.setdefault(subsequent, set())
+        self._children.setdefault(preliminary, set()).add(subsequent)
 
     @classmethod
     def from_pipelines(cls, pipelines: Iterable[Tuple[str, ...]]) -> "DependencyGraph":
@@ -89,15 +97,22 @@ class DependencyGraph:
         """Whether the expert depends on at least one preliminary expert."""
         return bool(self._require(expert_id))
 
-    def has_loaded_preliminary(self, expert_id: str, loaded: Set[str]) -> bool:
-        """Whether any preliminary parent of ``expert_id`` is in ``loaded``.
+    @property
+    def parents_by_expert(self) -> Mapping[str, AbstractSet[str]]:
+        """Read-only view: expert -> its direct preliminary parents."""
+        return MappingProxyType(self._parents)
 
-        This is the predicate behind stage 1 of the dependency-aware
-        eviction strategy (Figure 10): a subsequent expert none of whose
-        preliminary parents are resident cannot be used soon, so it is
-        the best eviction candidate.
+    @property
+    def children_by_expert(self) -> Mapping[str, AbstractSet[str]]:
+        """Read-only view: expert -> its direct subsequent children.
+
+        The exact inverse of :attr:`parents_by_expert`.  Stage 1 of the
+        dependency-aware eviction strategy (Figure 10) holds the
+        subsequent experts none of whose preliminary parents are
+        resident; loading or evicting an expert changes that only for
+        its children.
         """
-        return not self._require(expert_id).isdisjoint(loaded)
+        return MappingProxyType(self._children)
 
     def _ancestors(self, expert_id: str) -> Set[str]:
         """Every expert ``expert_id`` transitively depends on."""

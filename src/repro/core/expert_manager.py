@@ -15,79 +15,146 @@ evicts residents in two stages (Figure 10):
 Unlike LRU/FIFO this never consults runtime history; everything it
 needs (the dependency graph and the usage probabilities) is known
 before serving starts because the CoE routing module is independent of
-the experts (§2.1).  So the policy works out, once per policy and on
-first use, each expert's preliminary parents (for a subsequent expert)
-and both stages' sort keys; once per eviction it then costs one dict
-probe and one ``isdisjoint`` per resident, plus the sort or partial
-selection.
+the experts (§2.1).  What changes during serving is which experts a
+pool holds, and a load or eviction moves only the expert itself and
+its subsequent children between the stages.  So the policy keeps, per
+pool, each subsequent expert's count of resident preliminary parents
+and both stages in victim order, updated in :meth:`record_load` and
+:meth:`record_eviction` with sorted-list insertions and removals for
+just the experts that move.  An eviction then walks stage 1 and stage 2
+from the front and stops once the victims cover the bytes needed,
+touching only those victims and the protected or incoming experts it
+skips.
 """
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, List, Optional, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, List, Set, Tuple
 
 from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile
-from repro.policies.base import EvictionContext, EvictionPolicy, select_victims
+from repro.policies.base import EvictionContext, EvictionPolicy
 
 
-class _Table(dict):
-    """``key -> compute(key)``, each value worked out on first use and kept."""
+class _PoolStages:
+    """One pool's residents as Figure 10's two stages, in victim order."""
 
-    def __init__(self, compute: Callable[[str], object]) -> None:
-        super().__init__()
-        self._compute = compute
+    __slots__ = ("resident", "resident_parents", "orphans", "ranked")
 
-    def __missing__(self, key: str) -> object:
-        value = self[key] = self._compute(key)
-        return value
+    def __init__(self) -> None:
+        self.resident: Set[str] = set()
+        #: Subsequent expert -> how many of its preliminary parents are
+        #: resident (experts with none are absent).
+        self.resident_parents: Dict[str, int] = {}
+        #: Stage 1: resident subsequent experts with no resident
+        #: preliminary parent, as ascending ``(-weight bytes, id)``.
+        self.orphans: List[Tuple[int, str]] = []
+        #: Stage 2: every other resident, as ascending
+        #: ``(usage probability, id)``.
+        self.ranked: List[Tuple[float, str]] = []
+
+
+def _remove(keys: list, key: tuple) -> None:
+    del keys[bisect_left(keys, key)]
 
 
 class DependencyAwareEvictionPolicy(EvictionPolicy):
-    """CoServe's two-stage, dependency-aware eviction strategy."""
+    """CoServe's two-stage, dependency-aware eviction strategy.
+
+    The victim order follows the residency the policy was told about
+    through :meth:`record_load` and :meth:`record_eviction` (the engine
+    records every load and eviction), not the context's resident
+    snapshot; the context supplies the incoming and protected experts,
+    the bytes to free and the resident sizes.
+    """
 
     def __init__(self, model: CoEModel, usage_profile: UsageProfile) -> None:
         graph = model.dependencies
         assert graph is not None
+        # Model-level indexes, shared by every policy over the model.
+        self._parents = graph.parents_by_expert
+        self._children = graph.children_by_expert
+        self._experts = model.experts
+        self._probabilities = usage_profile.probabilities
+        self._pools: Dict[str, _PoolStages] = {}
 
-        def parents(expert_id: str) -> Optional[FrozenSet[str]]:
-            # The graph is fixed once the model is built.
-            if expert_id in graph and graph.is_subsequent(expert_id):
-                return frozenset(graph.preliminary_parents(expert_id))
-            return None
+    def _orphan_key(self, expert_id: str) -> Tuple[int, str]:
+        # Stage 1: descending memory footprint (Figure 10, stage 1).
+        return (-self._experts[expert_id].weight_bytes, expert_id)
 
-        def stage_one_key(expert_id: str) -> Tuple[int, str]:
-            # Stage 1: descending memory footprint (Figure 10, stage 1).
-            return (-model.expert(expert_id).weight_bytes, expert_id)
+    def _ranked_key(self, expert_id: str) -> Tuple[float, str]:
+        # Stage 2: ascending pre-assessed usage probability.
+        return (self._probabilities.get(expert_id, 0.0), expert_id)
 
-        def stage_two_key(expert_id: str) -> Tuple[float, str]:
-            # Stage 2: ascending pre-assessed usage probability.
-            return (usage_profile.probability(expert_id, default=0.0), expert_id)
+    def _is_orphan(self, stages: _PoolStages, expert_id: str) -> bool:
+        return bool(self._parents.get(expert_id)) and expert_id not in stages.resident_parents
 
-        self._parents = _Table(parents)
-        self._stage_one_key = _Table(stage_one_key).__getitem__
-        self._stage_two_key = _Table(stage_two_key).__getitem__
+    def record_load(self, pool_name: str, expert_id: str) -> None:
+        stages = self._pools.get(pool_name)
+        if stages is None:
+            stages = self._pools[pool_name] = _PoolStages()
+        resident = stages.resident
+        if expert_id in resident:
+            return
+        resident.add(expert_id)
+        counts = stages.resident_parents
+        for child in self._children.get(expert_id, ()):
+            count = counts.get(child, 0)
+            counts[child] = count + 1
+            if not count and child in resident:
+                # Its first resident parent: the child leaves stage 1.
+                _remove(stages.orphans, self._orphan_key(child))
+                insort(stages.ranked, self._ranked_key(child))
+        if self._is_orphan(stages, expert_id):
+            insort(stages.orphans, self._orphan_key(expert_id))
+        else:
+            insort(stages.ranked, self._ranked_key(expert_id))
+
+    def record_eviction(self, pool_name: str, expert_id: str) -> None:
+        stages = self._pools.get(pool_name)
+        if stages is None or expert_id not in stages.resident:
+            return
+        resident = stages.resident
+        if self._is_orphan(stages, expert_id):
+            _remove(stages.orphans, self._orphan_key(expert_id))
+        else:
+            _remove(stages.ranked, self._ranked_key(expert_id))
+        resident.remove(expert_id)
+        counts = stages.resident_parents
+        for child in self._children.get(expert_id, ()):
+            count = counts[child] - 1
+            if count:
+                counts[child] = count
+                continue
+            del counts[child]
+            if child in resident:
+                # Its last resident parent left: the child joins stage 1.
+                _remove(stages.ranked, self._ranked_key(child))
+                insort(stages.orphans, self._orphan_key(child))
 
     def victim_order(self, context: EvictionContext) -> List[str]:
-        parents_of = self._parents
-        resident = set(context.resident_expert_ids)
-        stage_one: List[str] = []
-        stage_two: List[str] = []
-        for expert_id in context.evictable():
-            parents = parents_of[expert_id]
-            if parents is not None and parents.isdisjoint(resident):
-                stage_one.append(expert_id)
-            else:
-                stage_two.append(expert_id)
+        """Stage 1, then stage 2, cut once the victims cover the bytes.
 
-        stage_one_key = self._stage_one_key
+        Equal to sorting the evictable residents by stage and key and
+        truncating that order at ``context.bytes_to_free``; when every
+        evictable resident together falls short, all are returned.
+        """
         bytes_to_free = context.bytes_to_free
+        stages = self._pools.get(context.pool_name)
+        if bytes_to_free <= 0 or stages is None:
+            return []
+        incoming = context.incoming_expert_id
+        protected = context.protected_expert_ids
         sizes = context.resident_bytes
-        stage_one_bytes = sum(sizes.get(expert_id, 0) for expert_id in stage_one)
-        if stage_one_bytes >= bytes_to_free:
-            # Orphan subsequents alone free enough memory — stage 2
-            # never gets evicted, so skip sorting it entirely.
-            return select_victims(stage_one, stage_one_key, bytes_to_free, sizes)
-        return sorted(stage_one, key=stage_one_key) + select_victims(
-            stage_two, self._stage_two_key, bytes_to_free - stage_one_bytes, sizes
-        )
+        victims: List[str] = []
+        covered = 0
+        for stage in (stages.orphans, stages.ranked):
+            for _, expert_id in stage:
+                if expert_id == incoming or expert_id in protected:
+                    continue
+                victims.append(expert_id)
+                covered += sizes.get(expert_id, 0)
+                if covered >= bytes_to_free:
+                    return victims
+        return victims

@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from repro.coe.model import CoEModel
 from repro.core.config import ExpertPerformanceRecord, PerformanceMatrix
-from repro.core.expert_manager import _Table
 from repro.hardware.memory import MemoryTier
 from repro.hardware.processor import ProcessorKind
 from repro.simulation.executor import Executor
@@ -166,18 +165,24 @@ class BatchSplitter:
 _Price = Tuple[float, float]
 
 
-class _PriceRows(_Table):
+class _PriceRows(dict):
     """Expert -> price row over the executor view, one entry per executor.
 
-    A row only depends on which pools and host cache hold its expert, so
-    it is dropped when the expert is loaded into or evicted from a
-    watched pool, or put into or removed from a watched host cache.
+    A row is worked out on first use and kept.  It only depends on which
+    pools and host cache hold its expert, so it is dropped when the
+    expert is loaded into or evicted from a watched pool, or put into or
+    removed from a watched host cache.
     """
 
     def __init__(self, compute: Callable[[str], Tuple[_Price, ...]]) -> None:
-        super().__init__(compute)
+        super().__init__()
+        self._compute = compute
         #: id -> watched pool or host cache, each listened to once.
         self._watched: Dict[int, object] = {}
+
+    def __missing__(self, expert_id: str) -> Tuple[_Price, ...]:
+        row = self[expert_id] = self._compute(expert_id)
+        return row
 
     def watch(self, source: "Union[ModelPool, HostCache]") -> None:
         """Listen to a model pool or host cache, once."""

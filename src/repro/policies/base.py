@@ -1,13 +1,13 @@
 """Eviction policy interface.
 
 A policy observes loads, accesses and evictions (so it can maintain
-recency or frequency state) and, when asked, produces a *victim
-ordering*: evictable residents of one model pool, from the most to the
-least attractive eviction candidate, cut off once they cover the bytes
-the incoming expert needs.  The simulator evicts experts in that order
-until the incoming expert fits; separating "ordering" (policy) from
-"how many" (simulator) keeps every policy small.  A policy serves one
-run: every serving system builds fresh policies per simulation.
+recency, frequency or residency state) and, when asked, produces a
+*victim ordering*: evictable residents of one model pool, from the most
+to the least attractive eviction candidate, cut off once they cover the
+bytes the incoming expert needs.  The simulator evicts experts in that
+order until the incoming expert fits; separating "ordering" (policy)
+from "how many" (simulator) keeps every policy small.  A policy serves
+one run: every serving system builds fresh policies per simulation.
 """
 
 from __future__ import annotations
@@ -110,7 +110,14 @@ def select_victims(
 
 
 class EvictionPolicy(abc.ABC):
-    """Base class for expert replacement policies."""
+    """Base class for expert replacement policies.
+
+    Every engine path (the session, ``ServingSimulation.preload`` and
+    both reference oracles) records each load into and eviction from a
+    pool with :meth:`record_load` and :meth:`record_eviction`, so a
+    policy's victim order may depend on the residency it was told about
+    rather than on a scan of ``EvictionContext.resident_expert_ids``.
+    """
 
     def record_load(self, pool_name: str, expert_id: str) -> None:
         """Notify the policy that an expert was loaded into a pool."""

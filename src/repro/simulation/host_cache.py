@@ -77,8 +77,10 @@ class HostCache:
     def put(self, expert_id: str, num_bytes: int) -> bool:
         """Insert an expert, evicting LRU entries until it fits.
 
-        Returns ``False`` (and caches nothing) when the expert is larger
-        than the whole cache.
+        Returns whether the cache stored a new copy: ``False`` when the
+        expert is larger than the whole cache (nothing is cached), and
+        when the cache already holds it (its recency is refreshed, and
+        no listener is notified).
         """
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
@@ -86,7 +88,7 @@ class HostCache:
             return False
         if expert_id in self._resident:
             self._resident.move_to_end(expert_id)
-            return True
+            return False
         while self._used_bytes + num_bytes > self.capacity_bytes and self._resident:
             victim, freed = self._resident.popitem(last=False)
             self._used_bytes -= freed

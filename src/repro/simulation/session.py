@@ -959,6 +959,8 @@ class SimulationSession:
                     for hook in self._on_expert_evict:
                         hook(event)
                 if self._host_cache is not None and executor.kind is ProcessorKind.GPU:
+                    # False when the cache already held the victim and only
+                    # refreshed its recency: nothing migrated.
                     migrated = self._host_cache.put(victim, freed)
                     if migrated and self._on_tier_migration:
                         event = TierMigration(

@@ -6,6 +6,23 @@ from hypothesis import given, settings, strategies as st
 from repro.coe.dependency import DependencyGraph
 
 
+def maps(graph):
+    """Copies of the graph's parent and children maps."""
+    return (
+        {node: set(parents) for node, parents in graph.parents_by_expert.items()},
+        {node: set(children) for node, children in graph.children_by_expert.items()},
+    )
+
+
+def inverse(parents):
+    """The children map that ``parents`` implies, over the same experts."""
+    children = {node: set() for node in parents}
+    for child, preliminaries in parents.items():
+        for parent in preliminaries:
+            children[parent].add(child)
+    return children
+
+
 @pytest.fixture
 def graph():
     return DependencyGraph.from_pipelines(
@@ -24,19 +41,30 @@ class TestConstruction:
         assert graph.preliminary_parents("det0") == ("cls0", "cls1")
         assert graph.preliminary_parents("det1") == ("cls3",)
 
+    def test_children_index_is_the_inverse_of_the_parents(self, graph):
+        parents, children = maps(graph)
+        assert parents == {node: set(graph.preliminary_parents(node)) for node in graph}
+        assert children == inverse(parents)
+        assert children["cls1"] == {"det0"}
+        assert children["det0"] == set()
+
     def test_add_expert_is_idempotent(self, graph):
         graph.add_expert("cls0")
         assert len(graph) == 6
 
     def test_self_dependency_rejected(self, graph):
+        before = maps(graph)
         with pytest.raises(ValueError):
             graph.add_dependency("cls0", "cls0")
+        assert maps(graph) == before
 
     def test_cycle_rejected(self, graph):
+        before = maps(graph)
         with pytest.raises(ValueError):
             graph.add_dependency("det0", "cls0")
-        # The failed edge must not remain in the graph.
+        # The failed edge must not remain in either map.
         assert not graph.is_subsequent("cls0")
+        assert maps(graph) == before
 
     def test_empty_expert_id_rejected(self):
         with pytest.raises(ValueError):
@@ -52,12 +80,6 @@ class TestQueries:
     def test_parents(self, graph):
         assert graph.preliminary_parents("det0") == ("cls0", "cls1")
         assert graph.preliminary_parents("cls0") == ()
-
-    def test_has_loaded_preliminary(self, graph):
-        assert graph.has_loaded_preliminary("det0", {"cls1"})
-        assert graph.has_loaded_preliminary("det0", {"cls0", "other"})
-        assert not graph.has_loaded_preliminary("det0", {"cls2", "cls3"})
-        assert not graph.has_loaded_preliminary("det1", set())
 
     def test_unknown_expert_raises(self, graph):
         with pytest.raises(KeyError):
@@ -89,10 +111,10 @@ def test_cycle_closing_edge_rejected_without_trace(edges, closing):
     nodes = sorted({node for edge in edges + [closing] for node in edge})
     for node in nodes:
         graph.add_expert(node)
-    before = {node: graph.preliminary_parents(node) for node in nodes}
+    before = maps(graph)
     with pytest.raises(ValueError):
         graph.add_dependency(*closing)
-    assert {node: graph.preliminary_parents(node) for node in nodes} == before
+    assert maps(graph) == before
 
 
 @pytest.mark.parametrize(
@@ -134,23 +156,20 @@ def _reaches(edges, source, target):
     return False
 
 
-@given(
-    st.lists(st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)), max_size=25),
-    st.sets(st.sampled_from(NODES)),
-)
+@given(st.lists(st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)), max_size=25))
 @settings(max_examples=300, deadline=None)
-def test_graph_matches_brute_force_reachability(edges, loaded):
+def test_graph_matches_brute_force_reachability(edges):
     graph = DependencyGraph()
     for node in NODES:
         graph.add_expert(node)
     accepted = set()
     for preliminary, subsequent in edges:
         rejected = preliminary == subsequent or _reaches(accepted, subsequent, preliminary)
-        before = {node: graph.preliminary_parents(node) for node in NODES}
+        before = maps(graph)
         if rejected:
             with pytest.raises(ValueError):
                 graph.add_dependency(preliminary, subsequent)
-            assert {node: graph.preliminary_parents(node) for node in NODES} == before
+            assert maps(graph) == before
             assert len(graph) == len(NODES)
         else:
             graph.add_dependency(preliminary, subsequent)
@@ -159,6 +178,5 @@ def test_graph_matches_brute_force_reachability(edges, loaded):
         parents = tuple(sorted(parent for parent, child in accepted if child == node))
         assert graph.preliminary_parents(node) == parents
         assert graph.is_subsequent(node) == bool(parents)
-        assert graph.has_loaded_preliminary(node, loaded) == any(
-            parent in loaded for parent in parents
-        )
+        children = {child for parent, child in accepted if parent == node}
+        assert graph.children_by_expert[node] == children

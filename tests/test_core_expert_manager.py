@@ -13,6 +13,7 @@ from repro.core.expert_manager import DependencyAwareEvictionPolicy
 from repro.experts.expert import Expert, ExpertRole
 from repro.experts.registry import RESNET101, YOLOV5L, YOLOV5M
 from repro.policies.base import EvictionContext
+from repro.serving import CoServeSystem
 
 
 @pytest.fixture
@@ -51,23 +52,43 @@ def make_context(resident, incoming="cls/x", protected=()):
     )
 
 
+def make_policy(model, usage, resident):
+    """A policy told that ``pool-gpu`` holds ``resident``.
+
+    The residents go in through the engine's notifications: every expert
+    is loaded into ``pool-gpu`` and the others are evicted again, while
+    ``pool-cpu`` holds every expert throughout.
+    """
+    policy = DependencyAwareEvictionPolicy(model, usage)
+    for expert_id in sorted(model.experts):
+        policy.record_load("pool-cpu", expert_id)
+        policy.record_load("pool-gpu", expert_id)
+    for expert_id in sorted(model.experts):
+        if expert_id not in resident:
+            policy.record_eviction("pool-gpu", expert_id)
+    return policy
+
+
 class TestStageOne:
     def test_orphan_subsequent_experts_evicted_first(self, model, usage):
-        policy = DependencyAwareEvictionPolicy(model, usage)
+        resident = ["cls/a", "det/0", "det/1"]
+        policy = make_policy(model, usage, resident)
         # det/1's preliminary (cls/b) is NOT resident -> orphan; det/0's is.
-        order = policy.victim_order(make_context(["cls/a", "det/0", "det/1"]))
+        order = policy.victim_order(make_context(resident))
         assert order[0] == "det/1"
 
     def test_orphans_sorted_by_descending_memory(self, model, usage):
-        policy = DependencyAwareEvictionPolicy(model, usage)
+        resident = ["cls/c", "det/0", "det/1"]
+        policy = make_policy(model, usage, resident)
         # Neither det/0 nor det/1 has a resident preliminary expert.
-        order = policy.victim_order(make_context(["cls/c", "det/0", "det/1"]))
+        order = policy.victim_order(make_context(resident))
         # det/1 (YOLOv5l, larger) is evicted before det/0 (YOLOv5m).
         assert order.index("det/1") < order.index("det/0")
 
     def test_subsequent_with_resident_preliminary_not_in_stage_one(self, model, usage):
-        policy = DependencyAwareEvictionPolicy(model, usage)
-        order = policy.victim_order(make_context(["cls/a", "det/0"]))
+        resident = ["cls/a", "det/0"]
+        policy = make_policy(model, usage, resident)
+        order = policy.victim_order(make_context(resident))
         # det/0 still has cls/a resident, so the stage-2 ordering applies:
         # cls/a has lower usage than... actually det/0 (0.09) < cls/a (0.10),
         # so det/0 is evicted first but only via stage 2 ordering.
@@ -77,33 +98,36 @@ class TestStageOne:
 
 class TestStageTwo:
     def test_ascending_usage_probability(self, model, usage):
-        policy = DependencyAwareEvictionPolicy(model, usage)
-        order = policy.victim_order(make_context(["cls/a", "cls/b", "cls/c"]))
+        resident = ["cls/a", "cls/b", "cls/c"]
+        policy = make_policy(model, usage, resident)
+        order = policy.victim_order(make_context(resident))
         assert order == ["cls/c", "cls/b", "cls/a"]
 
     def test_figure4_scenario_keeps_higher_probability_expert(self, model, usage):
         """§3.2: unlike LRU, eviction follows pre-assessed probability."""
-        policy = DependencyAwareEvictionPolicy(model, usage)
-        order = policy.victim_order(make_context(["cls/b", "cls/c"]))
+        resident = ["cls/b", "cls/c"]
+        policy = make_policy(model, usage, resident)
+        order = policy.victim_order(make_context(resident))
         assert order[0] == "cls/c"  # probability 0.02 < 0.05
 
     def test_unknown_probability_treated_as_zero(self, model):
-        policy = DependencyAwareEvictionPolicy(model, UsageProfile({"cls/a": 0.5}))
-        order = policy.victim_order(make_context(["cls/a", "cls/b"]))
+        resident = ["cls/a", "cls/b"]
+        policy = make_policy(model, UsageProfile({"cls/a": 0.5}), resident)
+        order = policy.victim_order(make_context(resident))
         assert order[0] == "cls/b"
 
 
 class TestProtection:
     def test_incoming_and_protected_never_evicted(self, model, usage):
-        policy = DependencyAwareEvictionPolicy(model, usage)
-        order = policy.victim_order(
-            make_context(["cls/a", "cls/b", "cls/c"], incoming="cls/a", protected={"cls/b"})
-        )
+        resident = ["cls/a", "cls/b", "cls/c"]
+        policy = make_policy(model, usage, resident)
+        order = policy.victim_order(make_context(resident, incoming="cls/a", protected={"cls/b"}))
         assert order == ["cls/c"]
 
     def test_full_order_is_stage_one_then_stage_two(self, model, usage):
-        policy = DependencyAwareEvictionPolicy(model, usage)
-        order = policy.victim_order(make_context(["cls/a", "cls/c", "det/1", "det/0"]))
+        resident = ["cls/a", "cls/c", "det/1", "det/0"]
+        policy = make_policy(model, usage, resident)
+        order = policy.victim_order(make_context(resident))
         # Stage 1: det/1 and det/0 are orphans (cls/b not resident; det/0's
         # parent cls/a IS resident, so only det/1 qualifies for stage 1).
         assert order[0] == "det/1"
@@ -127,7 +151,7 @@ class TestPartialSelection:
         ],
     )
     def test_partial_order_is_prefix_of_full_sort(self, model, usage, resident):
-        policy = DependencyAwareEvictionPolicy(model, usage)
+        policy = make_policy(model, usage, resident)
         base = make_context(resident)
         sizes = self._sizes(model, resident)
         full_order = policy.victim_order(base)
@@ -141,8 +165,8 @@ class TestPartialSelection:
 
     def test_stage_one_coverage_skips_stage_two(self, model, usage):
         """When an orphan frees enough bytes, stage 2 is never touched."""
-        policy = DependencyAwareEvictionPolicy(model, usage)
         resident = ("cls/c", "det/0", "det/1")
+        policy = make_policy(model, usage, resident)
         sizes = self._sizes(model, resident)
         context = dataclasses.replace(
             make_context(resident), bytes_to_free=1, resident_bytes=sizes
@@ -202,13 +226,18 @@ def shared_model():
     return CoEModel(name="em-shared", experts=experts, router=router)
 
 
+#: Two pools, so one pool's loads and evictions must not move the other's stages.
+POOLS = ("pool-gpu", "pool-cpu")
+
+
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_victim_order_matches_brute_force_figure_10(shared_model, data):
     """Full and byte-truncated victim orders against Figure 10 worked out
     from ``DependencyGraph.preliminary_parents``, expert bytes and the
-    usage profile, over random residents, protected sets, incoming
-    experts, usage profiles (ties, unknown experts) and amounts to free."""
+    usage profile.  Residents go in through random loads, evictions and
+    reloads over two pools; protected sets, incoming experts, usage
+    profiles (ties, unknown experts) and amounts to free are random too."""
     candidates = sorted(shared_model.experts)
     usage = UsageProfile(
         data.draw(
@@ -217,31 +246,79 @@ def test_victim_order_matches_brute_force_figure_10(shared_model, data):
             )
         )
     )
-    resident = data.draw(st.lists(st.sampled_from(candidates), unique=True))
-    protected = data.draw(st.sets(st.sampled_from(candidates)))
-    incoming = data.draw(st.sampled_from(candidates + ["not-in-the-model"]))
     policy = DependencyAwareEvictionPolicy(shared_model, usage)
-    sizes = {e: shared_model.expert(e).weight_bytes for e in resident}
-    context = EvictionContext(
-        pool_name="pool-gpu",
-        resident_expert_ids=tuple(resident),
-        incoming_expert_id=incoming,
-        bytes_to_free=sum(sizes.values()) + 1,
-        resident_bytes=sizes,
-        protected_expert_ids=frozenset(protected),
+    residents = {pool: [] for pool in POOLS}
+    churn = data.draw(
+        st.lists(st.tuples(st.sampled_from(POOLS), st.sampled_from(candidates)), max_size=40)
     )
-    expected = figure_10_order(shared_model, usage, resident, protected, incoming)
-    assert policy.victim_order(context) == expected
+    for pool, expert_id in churn:
+        if expert_id in residents[pool]:
+            residents[pool].remove(expert_id)
+            policy.record_eviction(pool, expert_id)
+        else:
+            residents[pool].append(expert_id)
+            policy.record_load(pool, expert_id)
 
-    boundaries = list(itertools.accumulate(sizes[e] for e in expected))
-    bytes_to_free = data.draw(
-        st.integers(min_value=-1, max_value=sum(sizes.values()) + 1)
-        | st.sampled_from(boundaries or [0])
-    )
-    prefix = []
-    for expert_id in expected:
-        if sum(sizes[e] for e in prefix) >= bytes_to_free:
-            break
-        prefix.append(expert_id)
-    truncated = dataclasses.replace(context, bytes_to_free=bytes_to_free, resident_bytes=sizes)
-    assert policy.victim_order(truncated) == prefix
+    for pool, resident in residents.items():
+        protected = data.draw(st.sets(st.sampled_from(candidates)))
+        incoming = data.draw(st.sampled_from(candidates + ["not-in-the-model"]))
+        sizes = {e: shared_model.expert(e).weight_bytes for e in resident}
+        context = EvictionContext(
+            pool_name=pool,
+            resident_expert_ids=tuple(resident),
+            incoming_expert_id=incoming,
+            bytes_to_free=sum(sizes.values()) + 1,
+            resident_bytes=sizes,
+            protected_expert_ids=frozenset(protected),
+        )
+        expected = figure_10_order(shared_model, usage, resident, protected, incoming)
+        assert policy.victim_order(context) == expected
+
+        boundaries = list(itertools.accumulate(sizes[e] for e in expected))
+        bytes_to_free = data.draw(
+            st.integers(min_value=-1, max_value=sum(sizes.values()) + 1)
+            | st.sampled_from(boundaries or [0])
+        )
+        prefix = []
+        for expert_id in expected:
+            if sum(sizes[e] for e in prefix) >= bytes_to_free:
+                break
+            prefix.append(expert_id)
+        truncated = dataclasses.replace(context, bytes_to_free=bytes_to_free)
+        assert policy.victim_order(truncated) == prefix
+
+
+def test_pools_keep_figure_10_order_through_a_session(
+    numa_device, numa_matrix, small_model, pressure_usage, pressure_stream
+):
+    """After a CoServe session whose pools churn (two GPU executors
+    sharing a pool of a few experts, one CPU executor, a shuffled
+    stream), each pool's full victim order is Figure 10 over the experts
+    that pool holds."""
+    simulation = CoServeSystem(
+        numa_device,
+        small_model,
+        pressure_usage,
+        gpu_executors=2,
+        cpu_executors=1,
+        gpu_expert_count=4,
+        performance_matrix=numa_matrix,
+    ).build_simulation()
+    result = simulation.run(pressure_stream)
+    assert result.expert_switches > 100, "the stream no longer churns the pools"
+
+    pools = {executor.pool.name: executor.pool for executor in simulation.executors}
+    assert len(pools) == 2
+    for pool in pools.values():
+        resident = pool.resident_expert_ids()
+        sizes = dict(pool.resident_sizes())
+        context = EvictionContext(
+            pool_name=pool.name,
+            resident_expert_ids=resident,
+            incoming_expert_id="not-in-the-model",
+            bytes_to_free=sum(sizes.values()) + 1,
+            resident_bytes=sizes,
+        )
+        assert simulation.eviction_policy.victim_order(context) == figure_10_order(
+            small_model, pressure_usage, resident, (), "not-in-the-model"
+        )

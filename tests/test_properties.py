@@ -5,8 +5,13 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile
+from repro.coe.router import Router, RoutingRule
+from repro.core.expert_manager import DependencyAwareEvictionPolicy
 from repro.core.memory import DecayWindowSearch, split_capacity_by_expert_count
+from repro.experts.expert import Expert, ExpertRole
+from repro.experts.registry import RESNET101, YOLOV5M
 from repro.hardware.performance import ExecutionProfile
 from repro.hardware.units import MB
 from repro.policies import FIFOPolicy, LFUPolicy, LRUPolicy
@@ -119,20 +124,68 @@ def test_queue_grouped_insertion_keeps_same_expert_contiguous(expert_indices):
 # ----------------------------------------------------------------------
 # Policy invariants
 # ----------------------------------------------------------------------
+def _dependency_aware_policy():
+    """Figure 10's policy over e0..e8: e3 depends on e0 and e1, e4 on e1,
+    e5 on e2 and e7 on e6; e8 stands alone."""
+    pipelines = [("e0", "e3"), ("e1", "e3"), ("e1", "e4"), ("e2", "e5"), ("e6", "e7"), ("e8",)]
+    subsequent = {pipeline[-1] for pipeline in pipelines if len(pipeline) > 1}
+    experts = {
+        expert_id: Expert(
+            expert_id,
+            YOLOV5M if expert_id in subsequent else RESNET101,
+            ExpertRole.SUBSEQUENT if expert_id in subsequent else ExpertRole.PRELIMINARY,
+        )
+        for expert_id in (f"e{index}" for index in range(9))
+    }
+    router = Router(
+        [
+            RoutingRule(f"c{index}", pipeline, (0.5,) * (len(pipeline) - 1))
+            for index, pipeline in enumerate(pipelines)
+        ]
+    )
+    usage = UsageProfile({f"e{index}": (index % 4) / 10 for index in range(9)})
+    return DependencyAwareEvictionPolicy(CoEModel("prop", experts, router), usage)
+
+
 @given(
-    st.sampled_from([LRUPolicy, FIFOPolicy, LFUPolicy]),
-    st.lists(st.tuples(st.sampled_from(["load", "access"]), st.integers(0, 8)), max_size=50),
+    st.sampled_from([LRUPolicy, FIFOPolicy, LFUPolicy, _dependency_aware_policy]),
+    st.lists(
+        st.tuples(st.sampled_from(["load", "access", "evict"]), st.integers(0, 8)), max_size=50
+    ),
     st.sets(st.integers(0, 8), max_size=9),
 )
-@settings(max_examples=80, deadline=None)
-def test_policies_return_permutation_of_evictable(policy_cls, history, resident_indices):
-    policy = policy_cls()
-    for op, index in history:
-        if op == "load":
-            policy.record_load("pool", f"e{index}")
-        else:
-            policy.record_access("pool", f"e{index}")
-    resident = tuple(sorted(f"e{i}" for i in resident_indices))
+@settings(max_examples=110, deadline=None)
+def test_policies_return_permutation_of_evictable(make_policy, history, resident_indices):
+    """LRU, FIFO and LFU order what the context holds: they are told the
+    history as drawn and given residents drawn apart from it, so some
+    residents were never recorded and some recorded experts are not held.
+    The dependency-aware policy orders the residency it was told about:
+    it is told the history as the engine tells it (loads of absent
+    experts, accesses and evictions of held ones, reloads), and the
+    context holds what that history leaves."""
+    policy = make_policy()
+    if make_policy is _dependency_aware_policy:
+        held = set()
+        for op, index in history:
+            expert = f"e{index}"
+            if op == "load" and expert not in held:
+                held.add(expert)
+                policy.record_load("pool", expert)
+            elif op == "access" and expert in held:
+                policy.record_access("pool", expert)
+            elif op == "evict" and expert in held:
+                held.remove(expert)
+                policy.record_eviction("pool", expert)
+        resident = tuple(sorted(held))
+    else:
+        record = {
+            "load": policy.record_load,
+            "access": policy.record_access,
+            "evict": policy.record_eviction,
+        }
+        for op, index in history:
+            record[op]("pool", f"e{index}")
+        resident = tuple(sorted(f"e{i}" for i in resident_indices))
     if not resident:
         return
     context = EvictionContext(

@@ -86,9 +86,13 @@ class TestHostCache:
 
     def test_put_existing_refreshes_without_duplication(self):
         cache = HostCache(1000)
-        cache.put("a", 400)
-        cache.put("a", 400)
-        assert cache.used_bytes == 400
+        assert cache.put("a", 400)
+        cache.put("b", 400)
+        assert not cache.put("a", 400)  # already held: no new copy
+        assert cache.used_bytes == 800
+        cache.put("c", 400)  # evicts "b": putting "a" again refreshed it
+        assert cache.contains("a")
+        assert not cache.contains("b")
 
     def test_remove(self):
         cache = HostCache(1000)
