@@ -4,7 +4,7 @@ Two guards share one flood workload (long queues, many switches — the
 regime where per-event costs dominate):
 
 * **Hot-path speedup** — the optimised engine (run-structured queues,
-  residency index, O(E) assigning) must stay at least ``MIN_SPEEDUP``×
+  pool-owned residency, O(E) assigning) must stay at least ``MIN_SPEEDUP``×
   faster than the pre-optimisation reference implementation
   (:mod:`repro.simulation.reference`), with bit-identical results.
 * **Pricing once per residency change** — a deterministic companion
@@ -12,10 +12,10 @@ regime where per-event costs dominate):
   expert group (:meth:`~repro.core.scheduler.LatencyPredictor.new_group_ms`)
   once per pool and processor kind when an expert is first decided and
   again only after that expert's residency changes, never per decision.
-* **Eviction without a pool scan** — another: dependency-aware eviction
-  walks stages it keeps current from the loads and evictions it is
-  told about, so no eviction asks the context for its evictable
-  residents or iterates the pool's resident snapshot.
+* **Eviction without a pool scan** — another: eviction policies hear
+  of loads and evictions from the pools they listen to, so no eviction
+  on CoServe or Samba-CoE builds a pool's resident snapshot or asks
+  the context for its evictable residents.
 * **Real migrations only** — every ``TierMigration`` event is a new
   copy in the host cache, one per insertion the cache reports.
 * **Observer overhead** — the session path behind ``run()`` (typed
@@ -48,7 +48,7 @@ from repro.core.profiler import OfflineProfiler
 from repro.core.scheduler import LatencyPredictor
 from repro.hardware.presets import make_numa_device
 from repro.policies.base import EvictionContext
-from repro.serving import CoServeSystem
+from repro.serving import CoServeSystem, SambaCoESystem
 from repro.serving.base import ServingSystem
 from repro.simulation import session as session_module
 from repro.simulation.engine import SimulationOptions
@@ -171,19 +171,35 @@ def test_engine_hotpath_speedup(hotpath_case):
     )
 
 
-def test_eviction_never_scans_the_pool(hotpath_case, monkeypatch):
-    """Dependency-aware eviction reads no per-eviction resident scan.
+def _build_samba_simulation(hotpath_case):
+    device, model, _, usage, matrix, _, _ = hotpath_case
+    system = SambaCoESystem(
+        device,
+        model,
+        usage,
+        performance_matrix=matrix,
+        options=SimulationOptions(keep_request_records=False),
+    )
+    return system.build_simulation()
 
-    The policy keeps each pool's Figure 10 stages current from
-    ``record_load`` and ``record_eviction``, so during ``run`` no
-    eviction calls :meth:`EvictionContext.evictable` or iterates the
-    resident snapshot the session passes in the context.  Rebuilding the
-    stages per eviction (one ``evictable`` call and two snapshot scans
-    each, 339 and 678 on the 16k-request flood) fails these counts,
-    which do not depend on timing.
+
+@pytest.mark.parametrize(
+    "build", [_build_simulation, _build_samba_simulation], ids=["coserve", "samba-coe-lru"]
+)
+def test_eviction_never_scans_the_pool(hotpath_case, monkeypatch, build):
+    """No eviction builds, reads or sorts a resident snapshot.
+
+    Every eviction policy hears of each load and eviction from the pools
+    it listens to, and the context carries the pool's live sizes view,
+    so during ``run`` nothing calls :meth:`ModelPool.resident_expert_ids`
+    or iterates what it returns, and neither CoServe's dependency-aware
+    policy nor Samba-CoE's LRU calls :meth:`EvictionContext.evictable`.
+    Building a snapshot per eviction (339 on CoServe and 4,882 on
+    Samba-CoE on the 16k-request flood), or rebuilding the stages from
+    one, fails these counts, which do not depend on timing.
     """
     stream = hotpath_case[2]
-    simulation = _build_simulation(hotpath_case)
+    simulation = build(hotpath_case)
     scans = Counter()
 
     class Snapshot(tuple):
@@ -199,6 +215,7 @@ def test_eviction_never_scans_the_pool(hotpath_case, monkeypatch):
     evictable = EvictionContext.evictable
 
     def snapshot(pool):
+        scans["resident_expert_ids_calls"] += 1
         return Snapshot(resident_expert_ids(pool))
 
     def counted_evictable(context):

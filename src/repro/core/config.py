@@ -12,7 +12,7 @@ executor and memory parameters on the serving systems' constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.hardware.processor import ProcessorKind
 
@@ -45,12 +45,10 @@ class ExpertPerformanceRecord:
         if self.memory_score <= 0:
             raise ValueError("memory_score must be positive")
 
-    def load_latency_from(self, source_tier: str, default: Optional[float] = None) -> float:
+    def load_latency_from(self, source_tier: str) -> float:
         """Predicted expert switching latency from a source tier."""
         if source_tier in self.load_latency_ms:
             return self.load_latency_ms[source_tier]
-        if default is not None:
-            return default
         raise KeyError(
             f"no load latency recorded from tier '{source_tier}' for "
             f"{self.architecture} on {self.processor.value}"
@@ -76,17 +74,3 @@ class PerformanceMatrix:
     @property
     def architectures(self) -> Tuple[str, ...]:
         return tuple(sorted({architecture for architecture, _ in self._records}))
-
-    @property
-    def processors(self) -> Tuple[ProcessorKind, ...]:
-        return tuple(sorted({processor for _, processor in self._records}, key=lambda p: p.value))
-
-    def memory_score(self, architecture: str) -> float:
-        """Normalised memory footprint of an architecture (Figure 10)."""
-        for (candidate, _), record in self._records.items():
-            if candidate == architecture:
-                return record.memory_score
-        raise KeyError(f"no record for architecture '{architecture}'")
-
-    def max_batch_size(self, architecture: str, processor: ProcessorKind) -> int:
-        return self.record(architecture, processor).max_batch_size

@@ -17,24 +17,30 @@ needs (the dependency graph and the usage probabilities) is known
 before serving starts because the CoE routing module is independent of
 the experts (§2.1).  What changes during serving is which experts a
 pool holds, and a load or eviction moves only the expert itself and
-its subsequent children between the stages.  So the policy keeps, per
-pool, each subsequent expert's count of resident preliminary parents
-and both stages in victim order, updated in :meth:`record_load` and
-:meth:`record_eviction` with sorted-list insertions and removals for
-just the experts that move.  An eviction then walks stage 1 and stage 2
-from the front and stops once the victims cover the bytes needed,
-touching only those victims and the protected or incoming experts it
-skips.
+its subsequent children between the stages.  So the policy listens to
+the model pools (``ServingSimulation`` subscribes it to each) and
+keeps, per pool, each subsequent expert's count of resident
+preliminary parents and both stages in victim order, updated in
+:meth:`~DependencyAwareEvictionPolicy.on_pool_load` and
+:meth:`~DependencyAwareEvictionPolicy.on_pool_evict` with sorted-list
+insertions and removals for just the experts that move; which experts
+a pool holds it reads from the pool itself.  An eviction then walks
+stage 1 and stage 2 from the front and stops once the victims cover
+the bytes needed, touching only those victims and the protected or
+incoming experts it skips.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile
 from repro.policies.base import EvictionContext, EvictionPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulation.model_pool import ModelPool
 
 
 class _PoolStages:
@@ -42,8 +48,9 @@ class _PoolStages:
 
     __slots__ = ("resident", "resident_parents", "orphans", "ranked")
 
-    def __init__(self) -> None:
-        self.resident: Set[str] = set()
+    def __init__(self, resident: Mapping[str, int]) -> None:
+        #: The pool's live ``resident_sizes()`` view.
+        self.resident = resident
         #: Subsequent expert -> how many of its preliminary parents are
         #: resident (experts with none are absent).
         self.resident_parents: Dict[str, int] = {}
@@ -62,11 +69,10 @@ def _remove(keys: list, key: tuple) -> None:
 class DependencyAwareEvictionPolicy(EvictionPolicy):
     """CoServe's two-stage, dependency-aware eviction strategy.
 
-    The victim order follows the residency the policy was told about
-    through :meth:`record_load` and :meth:`record_eviction` (the engine
-    records every load and eviction), not the context's resident
-    snapshot; the context supplies the incoming and protected experts,
-    the bytes to free and the resident sizes.
+    The victim order follows the residency the pools reported through
+    :meth:`on_pool_load` and :meth:`on_pool_evict`; the context
+    supplies the incoming and protected experts, the bytes to free and
+    the resident sizes.
     """
 
     def __init__(self, model: CoEModel, usage_profile: UsageProfile) -> None:
@@ -90,14 +96,11 @@ class DependencyAwareEvictionPolicy(EvictionPolicy):
     def _is_orphan(self, stages: _PoolStages, expert_id: str) -> bool:
         return bool(self._parents.get(expert_id)) and expert_id not in stages.resident_parents
 
-    def record_load(self, pool_name: str, expert_id: str) -> None:
-        stages = self._pools.get(pool_name)
+    def on_pool_load(self, pool: "ModelPool", expert_id: str) -> None:
+        stages = self._pools.get(pool.name)
         if stages is None:
-            stages = self._pools[pool_name] = _PoolStages()
+            stages = self._pools[pool.name] = _PoolStages(pool.resident_sizes())
         resident = stages.resident
-        if expert_id in resident:
-            return
-        resident.add(expert_id)
         counts = stages.resident_parents
         for child in self._children.get(expert_id, ()):
             count = counts.get(child, 0)
@@ -111,16 +114,13 @@ class DependencyAwareEvictionPolicy(EvictionPolicy):
         else:
             insort(stages.ranked, self._ranked_key(expert_id))
 
-    def record_eviction(self, pool_name: str, expert_id: str) -> None:
-        stages = self._pools.get(pool_name)
-        if stages is None or expert_id not in stages.resident:
-            return
-        resident = stages.resident
+    def on_pool_evict(self, pool: "ModelPool", expert_id: str) -> None:
+        stages = self._pools[pool.name]
         if self._is_orphan(stages, expert_id):
             _remove(stages.orphans, self._orphan_key(expert_id))
         else:
             _remove(stages.ranked, self._ranked_key(expert_id))
-        resident.remove(expert_id)
+        resident = stages.resident
         counts = stages.resident_parents
         for child in self._children.get(expert_id, ()):
             count = counts[child] - 1

@@ -36,9 +36,9 @@ of rebuilding them per decision:
   kind.  A new group's price (``K + B``, plus switching from the
   expert's current tier when the pool lacks it) only changes when the
   expert enters or leaves a model pool or the host cache, so the row
-  is dropped on exactly those notifications (the listener protocol of
-  :class:`~repro.simulation.residency.ResidencyIndex`), and all rows
-  are dropped at ``attach``.
+  is dropped on exactly those notifications (the pool and host-cache
+  listener protocol the eviction policies also use), and all rows are
+  dropped at ``attach``.
 
 A decision is then one pass over the view for the queue finish times
 and their running maximum, and one for the totals, reading queued
@@ -94,15 +94,16 @@ class LatencyPredictor:
     def _expert_location_tier(self, executor: Executor, expert_id: str) -> str:
         """Tier the expert would be loaded from if it is not resident.
 
-        Resolved through the engine's global residency index (an O(1)
-        lookup) rather than scanning every executor's pool.
+        The host cache, then the first other pool holding the expert
+        (:meth:`~repro.simulation.engine.ServingSimulation.other_pool_tier`),
+        then the SSD.
         """
         simulation = self._simulation
         if simulation is None:
             return _SSD
         if simulation.host_cache is not None and simulation.host_cache.contains(expert_id):
             return _CPU
-        tier = simulation.residency.best_source_tier(expert_id, exclude_pool=executor.pool)
+        tier = simulation.other_pool_tier(executor.pool, expert_id)
         return tier.value if tier is not None else _SSD
 
     def new_group_ms(

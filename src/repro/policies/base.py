@@ -1,22 +1,25 @@
 """Eviction policy interface.
 
-A policy observes loads, accesses and evictions (so it can maintain
-recency, frequency or residency state) and, when asked, produces a
-*victim ordering*: evictable residents of one model pool, from the most
-to the least attractive eviction candidate, cut off once they cover the
-bytes the incoming expert needs.  The simulator evicts experts in that
-order until the incoming expert fits; separating "ordering" (policy)
-from "how many" (simulator) keeps every policy small.  A policy serves
-one run: every serving system builds fresh policies per simulation.
+A policy listens to the model pools it serves (so it can maintain
+recency, frequency or residency state), is told of each batch a
+resident expert serves, and, when asked, produces a *victim ordering*:
+evictable residents of one model pool, from the most to the least
+attractive eviction candidate, cut off once they cover the bytes the
+incoming expert needs.  The simulator evicts experts in that order
+until the incoming expert fits; separating "ordering" (policy) from
+"how many" (simulator) keeps every policy small.  A policy serves one
+run: every serving system builds fresh policies per simulation.
 """
 
 from __future__ import annotations
 
 import abc
 import heapq
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Dict, List, Mapping, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Callable, List, Mapping, Sequence, Set, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulation.model_pool import ModelPool
 
 
 @dataclass(frozen=True)
@@ -29,8 +32,6 @@ class EvictionContext:
         Name of the model pool that needs space.  Executors bound to the
         same processor usually share one pool, so policy state (recency,
         frequency, load order) is keyed by pool rather than by executor.
-    resident_expert_ids:
-        Experts currently resident in the pool.
     incoming_expert_id:
         The expert that needs to be loaded.
     bytes_to_free:
@@ -40,25 +41,26 @@ class EvictionContext:
         truncation is behaviour-preserving — or every evictable resident
         when even all of them cannot cover it.
     resident_bytes:
-        Sizes (in bytes) of the resident experts, used to measure how
-        much a victim prefix frees.
+        Sizes (in bytes) of the experts resident in the pool, used to
+        measure how much a victim prefix frees.  The engine passes the
+        pool's live :meth:`~repro.simulation.model_pool.ModelPool.resident_sizes`
+        view.
     protected_expert_ids:
         Experts that must not be evicted (e.g. experts currently being
         executed by an executor sharing the pool).
     """
 
     pool_name: str
-    resident_expert_ids: Tuple[str, ...]
     incoming_expert_id: str
     bytes_to_free: int
     resident_bytes: Mapping[str, int]
     protected_expert_ids: AbstractSet[str] = frozenset()
 
     def evictable(self) -> Tuple[str, ...]:
-        """Residents that may legally be evicted."""
+        """Residents that may legally be evicted, sorted by id."""
         blocked: Set[str] = set(self.protected_expert_ids)
         blocked.add(self.incoming_expert_id)
-        return tuple(e for e in self.resident_expert_ids if e not in blocked)
+        return tuple(e for e in sorted(self.resident_bytes) if e not in blocked)
 
 
 def select_victims(
@@ -112,21 +114,23 @@ def select_victims(
 class EvictionPolicy(abc.ABC):
     """Base class for expert replacement policies.
 
-    Every engine path (the session, ``ServingSimulation.preload`` and
-    both reference oracles) records each load into and eviction from a
-    pool with :meth:`record_load` and :meth:`record_eviction`, so a
-    policy's victim order may depend on the residency it was told about
-    rather than on a scan of ``EvictionContext.resident_expert_ids``.
+    A policy is a model-pool listener: ``ServingSimulation`` subscribes
+    it once to each distinct pool, so every load into and eviction from
+    a pool (preloads included) reaches :meth:`on_pool_load` and
+    :meth:`on_pool_evict` after the pool has changed.  A policy's
+    victim order may therefore depend on the residency the pools
+    reported rather than on a scan of the pool.  The engine calls
+    :meth:`record_access` each time a resident expert serves a batch.
     """
 
-    def record_load(self, pool_name: str, expert_id: str) -> None:
-        """Notify the policy that an expert was loaded into a pool."""
+    def on_pool_load(self, pool: "ModelPool", expert_id: str) -> None:
+        """An expert was loaded into ``pool`` (which now holds it)."""
+
+    def on_pool_evict(self, pool: "ModelPool", expert_id: str) -> None:
+        """An expert was evicted from ``pool`` (which no longer holds it)."""
 
     def record_access(self, pool_name: str, expert_id: str) -> None:
         """Notify the policy that a resident expert served a batch."""
-
-    def record_eviction(self, pool_name: str, expert_id: str) -> None:
-        """Notify the policy that an expert was evicted from a pool."""
 
     @abc.abstractmethod
     def victim_order(self, context: EvictionContext) -> List[str]:
@@ -139,77 +143,3 @@ class EvictionPolicy(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
-
-
-class _PerPoolRecencyPolicy(EvictionPolicy):
-    """Shared machinery for bump-ordered policies (LRU, FIFO).
-
-    Each pool keeps an insertion-ordered map of its experts; bumping an
-    expert moves it to the most-recent end.  Bumps used to assign a
-    unique monotonically increasing tick with victims selected by
-    sorting on ``(tick, expert_id)``; ticks being unique, that order is
-    exactly the map's iteration order, so :meth:`_victims_by_recency`
-    streams victims straight out of the map — no per-candidate key
-    tuples, no sort — while returning the identical prefix
-    (equivalence enforced by ``tests/test_policies.py``).
-    """
-
-    def __init__(self) -> None:
-        self._order: Dict[str, "OrderedDict[str, None]"] = {}
-
-    def _bump(self, pool_name: str, expert_id: str) -> None:
-        pool_order = self._order.get(pool_name)
-        if pool_order is None:
-            self._order[pool_name] = OrderedDict({expert_id: None})
-        elif expert_id in pool_order:
-            pool_order.move_to_end(expert_id)
-        else:
-            pool_order[expert_id] = None
-
-    def _forget(self, pool_name: str, expert_id: str) -> None:
-        pool_order = self._order.get(pool_name)
-        if pool_order is not None:
-            pool_order.pop(expert_id, None)
-
-    def _victims_by_recency(self, context: EvictionContext) -> List[str]:
-        """Evictable residents, least recently bumped first.
-
-        Semantically ``select_victims(context.evictable(), key=(tick,
-        expert_id), ...)``: residents never bumped (tick 0 — cannot
-        happen through the engine, which records every load) come first
-        in id order, then bumped residents in bump order; the list is
-        truncated once the victims cover the requested amount, and —
-        like ``select_victims`` — the full order is returned when even
-        that cannot cover it.
-        """
-        pool_order = self._order.get(context.pool_name)
-        if pool_order is None:
-            pool_order = ()
-        blocked = set(context.protected_expert_ids)
-        blocked.add(context.incoming_expert_id)
-        resident_set = set(context.resident_expert_ids)
-        # Residents the engine loaded are always bumped, so this
-        # difference is empty on the hot path; computing it as C-level
-        # set ops (sorting makes input order irrelevant) avoids a
-        # per-eviction Python scan over every resident.
-        missing = resident_set.difference(pool_order)
-        never_bumped = sorted(missing.difference(blocked)) if missing else []
-        bytes_to_free = context.bytes_to_free
-        sizes = context.resident_bytes
-        if bytes_to_free <= 0:
-            return []
-        victims: List[str] = []
-        covered = 0
-        for expert_id in never_bumped:
-            victims.append(expert_id)
-            covered += sizes.get(expert_id, 0)
-            if covered >= bytes_to_free:
-                return victims
-        for expert_id in pool_order:
-            if expert_id in blocked or expert_id not in resident_set:
-                continue
-            victims.append(expert_id)
-            covered += sizes.get(expert_id, 0)
-            if covered >= bytes_to_free:
-                break
-        return victims

@@ -8,9 +8,12 @@ CoServe's pre-assessed probabilities.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.policies.base import EvictionContext, EvictionPolicy, select_victims
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulation.model_pool import ModelPool
 
 
 class LFUPolicy(EvictionPolicy):
@@ -21,27 +24,22 @@ class LFUPolicy(EvictionPolicy):
         self._load_order: Dict[Tuple[str, str], int] = {}
         self._tick = 0
 
-    def record_load(self, pool_name: str, expert_id: str) -> None:
+    def on_pool_load(self, pool: "ModelPool", expert_id: str) -> None:
         self._tick += 1
-        self._load_order[(pool_name, expert_id)] = self._tick
-        self._access_counts.setdefault((pool_name, expert_id), 0)
+        self._load_order[(pool.name, expert_id)] = self._tick
+        self._access_counts[(pool.name, expert_id)] = 0
 
     def record_access(self, pool_name: str, expert_id: str) -> None:
-        key = (pool_name, expert_id)
-        self._access_counts[key] = self._access_counts.get(key, 0) + 1
+        self._access_counts[(pool_name, expert_id)] += 1
 
-    def record_eviction(self, pool_name: str, expert_id: str) -> None:
-        self._access_counts.pop((pool_name, expert_id), None)
-        self._load_order.pop((pool_name, expert_id), None)
+    def on_pool_evict(self, pool: "ModelPool", expert_id: str) -> None:
+        del self._access_counts[(pool.name, expert_id)]
+        del self._load_order[(pool.name, expert_id)]
 
     def victim_order(self, context: EvictionContext) -> List[str]:
         def sort_key(expert_id: str):
             key = (context.pool_name, expert_id)
-            return (
-                self._access_counts.get(key, 0),
-                self._load_order.get(key, 0),
-                expert_id,
-            )
+            return (self._access_counts[key], self._load_order[key], expert_id)
 
         return select_victims(
             context.evictable(), sort_key, context.bytes_to_free, context.resident_bytes

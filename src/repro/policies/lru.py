@@ -8,38 +8,16 @@ higher than the experts it keeps.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List
-
-from repro.policies.base import EvictionContext, _PerPoolRecencyPolicy
+from repro.policies.fifo import FIFOPolicy
 
 
-class LRUPolicy(_PerPoolRecencyPolicy):
+class LRUPolicy(FIFOPolicy):
     """Evict the resident expert that was used least recently.
 
-    Loads and accesses both bump recency; victims stream out of the
-    pool's bump-ordered map (identical order to the former
-    ``(tick, expert_id)`` sort, without building a key per resident
-    per eviction).
+    FIFO's per-pool load-ordered map, with every access moving the
+    expert to the most-recent end: victims stream out of the map in
+    recency order.
     """
 
-    # Both hooks are _bump, inlined: they fire once per batch start and
-    # once per expert load, and the delegating frame is measurable at
-    # million-request scale.
-
-    def record_load(self, pool_name: str, expert_id: str) -> None:
-        pool_order = self._order.get(pool_name)
-        if pool_order is None:
-            self._order[pool_name] = OrderedDict({expert_id: None})
-        elif expert_id in pool_order:
-            pool_order.move_to_end(expert_id)
-        else:
-            pool_order[expert_id] = None
-
-    record_access = record_load
-
-    def record_eviction(self, pool_name: str, expert_id: str) -> None:
-        self._forget(pool_name, expert_id)
-
-    def victim_order(self, context: EvictionContext) -> List[str]:
-        return self._victims_by_recency(context)
+    def record_access(self, pool_name: str, expert_id: str) -> None:
+        self._order[pool_name].move_to_end(expert_id)

@@ -28,7 +28,6 @@ from repro.simulation.request import SimRequest, StageJob, StageRecord
 from repro.simulation.queueing import RequestQueue
 from repro.simulation.model_pool import ModelPool
 from repro.simulation.host_cache import HostCache
-from repro.simulation.residency import ResidencyIndex
 from repro.simulation.resources import SerialResource
 from repro.simulation.executor import Executor, ExecutorConfig
 from repro.simulation.interfaces import SchedulingPolicy
@@ -58,7 +57,6 @@ __all__ = [
     "RequestQueue",
     "ModelPool",
     "HostCache",
-    "ResidencyIndex",
     "SerialResource",
     "Executor",
     "ExecutorConfig",

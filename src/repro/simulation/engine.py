@@ -52,12 +52,13 @@ lookups rather than scans:
   appends, grouped insertion (request arranging) and head-run pops all
   O(1) amortised; the former flat-list queue paid O(n) per ``pop(0)``
   and O(n) per grouped insert.
-* **Global residency index** — a
-  :class:`~repro.simulation.residency.ResidencyIndex` maps each expert
-  to the pools/tiers currently holding it, maintained by listeners on
-  every pool load/evict.  Locating the fastest source tier for a load
-  (here and in the scheduler's latency predictor) is a host-cache
-  probe plus an O(1) index lookup instead of an all-executor scan.
+* **One owner of residency** — the model pools.  The eviction policy
+  is subscribed once to each distinct pool, so every load and eviction
+  (preloads included) reaches it as a pool notification, and finding
+  where else an expert is resident (here and in the scheduler's
+  latency predictor) is a host-cache probe plus a membership test on
+  each other distinct pool — one, when pools are shared per processor
+  — instead of an all-executor scan.
 * **O(E) request assigning** — CoServe's scheduler bounds every
   candidate total by the busiest queue's finish, so a decision is one
   pass over the executors (in name order) for the finishes and their
@@ -81,8 +82,8 @@ from repro.policies.base import EvictionPolicy
 from repro.simulation.executor import Executor, ExecutorConfig
 from repro.simulation.host_cache import HostCache
 from repro.simulation.interfaces import SchedulingPolicy
+from repro.simulation.model_pool import ModelPool
 from repro.simulation.request import SimRequest
-from repro.simulation.residency import ResidencyIndex
 from repro.simulation.resources import SerialResource
 from repro.simulation.results import ExecutorSummary, SimulationResult
 from repro.simulation.session import SimulationError, SimulationSession
@@ -175,14 +176,16 @@ class ServingSimulation:
         if host_cache_bytes > 0 and not device.is_uma:
             self.host_cache = HostCache(host_cache_bytes)
 
-        self.residency = ResidencyIndex()
-        registered_pools = set()
-        for rank, executor in enumerate(self._executors):
-            if executor.pool not in registered_pools:
-                registered_pools.add(executor.pool)
-                self.residency.register_pool(
-                    executor.pool, device.memory_tier_for(executor.kind), rank
-                )
+        # Each distinct pool with its memory tier, in the order of the
+        # first executor bound to it: the preference order of a
+        # source-tier lookup.  The eviction policy listens to each pool
+        # once.
+        tiers: Dict[ModelPool, MemoryTier] = {}
+        for executor in self._executors:
+            tiers.setdefault(executor.pool, device.memory_tier_for(executor.kind))
+        self._pool_tiers: Tuple[Tuple[ModelPool, MemoryTier], ...] = tuple(tiers.items())
+        for pool in tiers:
+            pool.add_listener(eviction_policy)
 
         self._compute_resources: Dict[ProcessorKind, SerialResource] = {
             executor.kind: SerialResource(name=f"compute-{executor.kind.value}")
@@ -211,8 +214,6 @@ class ServingSimulation:
             pool_capacity[config.processor_kind] = (
                 pool_capacity.get(config.processor_kind, 0) + config.expert_pool_bytes
             )
-        from repro.simulation.model_pool import ModelPool
-
         shared_pools = {
             kind: ModelPool(name=f"pool-{kind.value}", capacity_bytes=capacity)
             for kind, capacity in pool_capacity.items()
@@ -274,7 +275,6 @@ class ServingSimulation:
                 if not executor.pool.can_fit(expert.weight_bytes):
                     continue
                 executor.pool.load(expert_id, expert.weight_bytes)
-                self.eviction_policy.record_load(executor.pool.name, expert_id)
 
     def preload_host_cache(self, expert_ids: Sequence[str]) -> None:
         """Stage experts in the CPU-memory cache during initialisation.
@@ -318,6 +318,18 @@ class ServingSimulation:
         """
         return self.session(stream, observers=observers).run()
 
+    def other_pool_tier(self, pool: ModelPool, expert_id: str) -> Optional[MemoryTier]:
+        """Memory tier of the first pool other than ``pool`` holding the expert.
+
+        Pools are asked in the order of the first executor bound to
+        each, the preference of an all-executor scan; ``None`` when no
+        other pool holds the expert.
+        """
+        for other, tier in self._pool_tiers:
+            if other is not pool and expert_id in other:
+                return tier
+        return None
+
     def _locate_source_tier(self, executor: Executor, expert_id: str) -> MemoryTier:
         """Find the fastest tier the expert can currently be loaded from.
 
@@ -325,12 +337,11 @@ class ServingSimulation:
         pool on the device (another processor's pool reached over the
         interconnect / unified-memory reorganisation path), then the
         SSD.  The host cache is probed through ``lookup`` because a hit
-        must refresh LRU recency; pools are resolved through the global
-        residency index instead of scanning every executor.
+        must refresh LRU recency.
         """
         if self.host_cache is not None and self.host_cache.lookup(expert_id):
             return MemoryTier.CPU
-        tier = self.residency.best_source_tier(expert_id, exclude_pool=executor.pool)
+        tier = self.other_pool_tier(executor.pool, expert_id)
         return tier if tier is not None else MemoryTier.SSD
 
     # ------------------------------------------------------------------

@@ -6,10 +6,12 @@ until the pool's capacity is reached, after which the eviction policy
 must free space.
 
 Used bytes are tracked incrementally (``can_fit`` sits on the engine's
-expert-load hot path), and every membership change is reported to
-registered listeners — the engine hooks the global
-:class:`~repro.simulation.residency.ResidencyIndex` in this way so
-expert lookups never have to scan pools.
+expert-load hot path), and the pool is the one owner of residency:
+every membership change is reported to registered listeners after it
+happens.  The serving simulation's eviction policy and CoServe's price
+rows listen this way, and the engine asks the pools themselves where
+else an expert is resident, so no copy of residency has to be fed by
+hand.
 """
 
 from __future__ import annotations
@@ -106,12 +108,9 @@ class ModelPool:
         return freed
 
     def clear(self) -> None:
-        evicted = tuple(self._resident)
-        self._resident.clear()
-        self._used_bytes = 0
-        for expert_id in evicted:
-            for listener in self._listeners:
-                listener.on_pool_evict(self, expert_id)
+        """Evict every resident, one at a time, notifying each eviction."""
+        for expert_id in tuple(self._resident):
+            self.evict(expert_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

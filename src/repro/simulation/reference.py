@@ -1,8 +1,9 @@
 """Pre-optimisation reference implementations of the engine hot path.
 
-The run-structured queue, the residency index and the O(E) request
-assigning (see :mod:`repro.simulation.engine`) are pure data-structure
-changes: they must not alter any simulated result.  This module keeps
+The run-structured queue, the source-tier lookup over the distinct
+model pools and the O(E) request assigning (see
+:mod:`repro.simulation.engine`) are pure data-structure changes: they
+must not alter any simulated result.  This module keeps
 the original scan-based implementations — the flat-list
 :class:`ReferenceRequestQueue`, the all-executor source-tier scans and
 the O(E²) assignment loop — so that
@@ -25,6 +26,8 @@ metric collection inlined (the engine exactly as it stood before
 observers existed).  The observer-overhead benchmark drives it against
 the session path to bound the cost of the hook surface, and the
 equivalence tests assert both paths simulate bit-identical results.
+Like the session, it tells the eviction policy of loads and evictions
+only through the model pools the policy listens to.
 """
 
 from __future__ import annotations
@@ -283,7 +286,6 @@ def _preredesign_load_expert(simulation, executor, expert, now):
         }
         context = EvictionContext(
             pool_name=pool.name,
-            resident_expert_ids=pool.resident_expert_ids(),
             incoming_expert_id=expert.expert_id,
             protected_expert_ids=frozenset(protected),
             bytes_to_free=needed - pool.free_bytes,
@@ -293,7 +295,6 @@ def _preredesign_load_expert(simulation, executor, expert, now):
             if pool.can_fit(needed):
                 break
             freed = pool.evict(victim)
-            simulation.eviction_policy.record_eviction(pool.name, victim)
             evicted_any = True
             if simulation.host_cache is not None and executor.kind is ProcessorKind.GPU:
                 simulation.host_cache.put(victim, freed)
@@ -314,7 +315,6 @@ def _preredesign_load_expert(simulation, executor, expert, now):
     _, ready_ms = io_resource.acquire(now, load_latency)
 
     pool.load(expert.expert_id, expert.weight_bytes)
-    simulation.eviction_policy.record_load(pool.name, expert.expert_id)
 
     executor.stats.expert_loads += 1
     executor.stats.load_busy_ms += load_latency

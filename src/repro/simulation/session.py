@@ -366,8 +366,6 @@ class SimulationSession:
         self._load_latency_cache: Dict[tuple, float] = {}
         self._record_access = self._eviction.record_access
         self._victim_order = self._eviction.victim_order
-        self._record_eviction = self._eviction.record_eviction
-        self._record_load = self._eviction.record_load
         # Policies that inherit the base-class defaults for a decision
         # get that decision constant-folded out of the per-job handler:
         # the defaults are pure no-ops (zero scheduling latency, zero
@@ -940,7 +938,6 @@ class SimulationSession:
                 )
             context = EvictionContext(
                 pool_name=pool.name,
-                resident_expert_ids=pool.resident_expert_ids(),
                 incoming_expert_id=expert.expert_id,
                 protected_expert_ids=protected,
                 bytes_to_free=needed - pool.free_bytes,
@@ -950,7 +947,6 @@ class SimulationSession:
                 if pool.can_fit(needed):
                     break
                 freed = pool.evict(victim)
-                self._record_eviction(pool.name, victim)
                 evicted_any = True
                 if self._on_expert_evict:
                     event = ExpertEvict(
@@ -991,7 +987,6 @@ class SimulationSession:
         _, ready_ms = io_resource.acquire(now, load_latency)
 
         pool.load(expert.expert_id, expert.weight_bytes)
-        self._record_load(pool.name, expert.expert_id)
 
         stats = executor.stats
         stats.expert_loads += 1

@@ -26,7 +26,6 @@ class TestExpertPerformanceRecord:
         record = make_record()
         assert record.load_latency_from("ssd") == 900.0
         assert record.load_latency_from("cpu") == 45.0
-        assert record.load_latency_from("unified", default=1.0) == 1.0
         with pytest.raises(KeyError):
             record.load_latency_from("unified")
 
@@ -58,13 +57,15 @@ class TestPerformanceMatrix:
 
     def test_architecture_and_processor_listing(self, matrix):
         assert matrix.architectures == ("resnet101", "yolov5m")
-        assert set(matrix.processors) == {ProcessorKind.GPU, ProcessorKind.CPU}
+        for processor in (ProcessorKind.GPU, ProcessorKind.CPU):
+            assert matrix.record("resnet101", processor).processor is processor
 
     def test_memory_score_and_max_batch(self, matrix):
-        assert matrix.memory_score("resnet101") == pytest.approx(2.1)
-        assert matrix.max_batch_size("resnet101", ProcessorKind.GPU) == 8
+        record = matrix.record("resnet101", ProcessorKind.GPU)
+        assert record.memory_score == pytest.approx(2.1)
+        assert record.max_batch_size == 8
         with pytest.raises(KeyError):
-            matrix.memory_score("vgg")
+            matrix.record("vgg", ProcessorKind.GPU)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):

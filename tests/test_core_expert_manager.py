@@ -14,6 +14,7 @@ from repro.experts.expert import Expert, ExpertRole
 from repro.experts.registry import RESNET101, YOLOV5L, YOLOV5M
 from repro.policies.base import EvictionContext
 from repro.serving import CoServeSystem
+from repro.simulation.model_pool import ModelPool
 
 
 @pytest.fixture
@@ -40,55 +41,59 @@ def usage():
     return UsageProfile({"cls/a": 0.10, "cls/b": 0.05, "cls/c": 0.02, "det/0": 0.09, "det/1": 0.045})
 
 
-def make_context(resident, incoming="cls/x", protected=()):
-    """A context asking for more bytes than the residents hold: the full order."""
+def make_context(pool, incoming="cls/x", protected=()):
+    """A context asking for more bytes than the pool holds: the full order."""
     return EvictionContext(
-        pool_name="pool-gpu",
-        resident_expert_ids=tuple(resident),
+        pool_name=pool.name,
         incoming_expert_id=incoming,
-        bytes_to_free=len(resident) + 1,
-        resident_bytes={expert: 1 for expert in resident},
+        bytes_to_free=pool.used_bytes + 1,
+        resident_bytes=pool.resident_sizes(),
         protected_expert_ids=frozenset(protected),
     )
 
 
 def make_policy(model, usage, resident):
-    """A policy told that ``pool-gpu`` holds ``resident``.
+    """A policy listening to ``pool-cpu`` and ``pool-gpu``, and the GPU
+    pool, which holds ``resident``.
 
-    The residents go in through the engine's notifications: every expert
-    is loaded into ``pool-gpu`` and the others are evicted again, while
-    ``pool-cpu`` holds every expert throughout.
+    The residents go in through pool notifications: every expert is
+    loaded into both pools and the GPU pool evicts the others again,
+    while ``pool-cpu`` holds every expert throughout.
     """
     policy = DependencyAwareEvictionPolicy(model, usage)
+    pools = [ModelPool(name, capacity_bytes=1 << 40) for name in ("pool-cpu", "pool-gpu")]
+    for pool in pools:
+        pool.add_listener(policy)
     for expert_id in sorted(model.experts):
-        policy.record_load("pool-cpu", expert_id)
-        policy.record_load("pool-gpu", expert_id)
+        for pool in pools:
+            pool.load(expert_id, model.expert(expert_id).weight_bytes)
+    gpu = pools[1]
     for expert_id in sorted(model.experts):
         if expert_id not in resident:
-            policy.record_eviction("pool-gpu", expert_id)
-    return policy
+            gpu.evict(expert_id)
+    return policy, gpu
 
 
 class TestStageOne:
     def test_orphan_subsequent_experts_evicted_first(self, model, usage):
         resident = ["cls/a", "det/0", "det/1"]
-        policy = make_policy(model, usage, resident)
+        policy, pool = make_policy(model, usage, resident)
         # det/1's preliminary (cls/b) is NOT resident -> orphan; det/0's is.
-        order = policy.victim_order(make_context(resident))
+        order = policy.victim_order(make_context(pool))
         assert order[0] == "det/1"
 
     def test_orphans_sorted_by_descending_memory(self, model, usage):
         resident = ["cls/c", "det/0", "det/1"]
-        policy = make_policy(model, usage, resident)
+        policy, pool = make_policy(model, usage, resident)
         # Neither det/0 nor det/1 has a resident preliminary expert.
-        order = policy.victim_order(make_context(resident))
+        order = policy.victim_order(make_context(pool))
         # det/1 (YOLOv5l, larger) is evicted before det/0 (YOLOv5m).
         assert order.index("det/1") < order.index("det/0")
 
     def test_subsequent_with_resident_preliminary_not_in_stage_one(self, model, usage):
         resident = ["cls/a", "det/0"]
-        policy = make_policy(model, usage, resident)
-        order = policy.victim_order(make_context(resident))
+        policy, pool = make_policy(model, usage, resident)
+        order = policy.victim_order(make_context(pool))
         # det/0 still has cls/a resident, so the stage-2 ordering applies:
         # cls/a has lower usage than... actually det/0 (0.09) < cls/a (0.10),
         # so det/0 is evicted first but only via stage 2 ordering.
@@ -99,35 +104,35 @@ class TestStageOne:
 class TestStageTwo:
     def test_ascending_usage_probability(self, model, usage):
         resident = ["cls/a", "cls/b", "cls/c"]
-        policy = make_policy(model, usage, resident)
-        order = policy.victim_order(make_context(resident))
+        policy, pool = make_policy(model, usage, resident)
+        order = policy.victim_order(make_context(pool))
         assert order == ["cls/c", "cls/b", "cls/a"]
 
     def test_figure4_scenario_keeps_higher_probability_expert(self, model, usage):
         """§3.2: unlike LRU, eviction follows pre-assessed probability."""
         resident = ["cls/b", "cls/c"]
-        policy = make_policy(model, usage, resident)
-        order = policy.victim_order(make_context(resident))
+        policy, pool = make_policy(model, usage, resident)
+        order = policy.victim_order(make_context(pool))
         assert order[0] == "cls/c"  # probability 0.02 < 0.05
 
     def test_unknown_probability_treated_as_zero(self, model):
         resident = ["cls/a", "cls/b"]
-        policy = make_policy(model, UsageProfile({"cls/a": 0.5}), resident)
-        order = policy.victim_order(make_context(resident))
+        policy, pool = make_policy(model, UsageProfile({"cls/a": 0.5}), resident)
+        order = policy.victim_order(make_context(pool))
         assert order[0] == "cls/b"
 
 
 class TestProtection:
     def test_incoming_and_protected_never_evicted(self, model, usage):
         resident = ["cls/a", "cls/b", "cls/c"]
-        policy = make_policy(model, usage, resident)
-        order = policy.victim_order(make_context(resident, incoming="cls/a", protected={"cls/b"}))
+        policy, pool = make_policy(model, usage, resident)
+        order = policy.victim_order(make_context(pool, incoming="cls/a", protected={"cls/b"}))
         assert order == ["cls/c"]
 
     def test_full_order_is_stage_one_then_stage_two(self, model, usage):
         resident = ["cls/a", "cls/c", "det/1", "det/0"]
-        policy = make_policy(model, usage, resident)
-        order = policy.victim_order(make_context(resident))
+        policy, pool = make_policy(model, usage, resident)
+        order = policy.victim_order(make_context(pool))
         # Stage 1: det/1 and det/0 are orphans (cls/b not resident; det/0's
         # parent cls/a IS resident, so only det/1 qualifies for stage 1).
         assert order[0] == "det/1"
@@ -139,9 +144,6 @@ class TestProtection:
 class TestPartialSelection:
     """Byte-bounded selection must be a prefix of the two-stage full sort."""
 
-    def _sizes(self, model, resident):
-        return {expert_id: model.expert(expert_id).weight_bytes for expert_id in resident}
-
     @pytest.mark.parametrize(
         "resident",
         [
@@ -151,26 +153,20 @@ class TestPartialSelection:
         ],
     )
     def test_partial_order_is_prefix_of_full_sort(self, model, usage, resident):
-        policy = make_policy(model, usage, resident)
-        base = make_context(resident)
-        sizes = self._sizes(model, resident)
+        policy, pool = make_policy(model, usage, resident)
+        base = make_context(pool)
+        sizes = dict(pool.resident_sizes())
         full_order = policy.victim_order(base)
         total = sum(sizes.values())
         for bytes_to_free in (1, min(sizes.values()), total // 2, total):
-            partial = policy.victim_order(
-                dataclasses.replace(base, bytes_to_free=bytes_to_free, resident_bytes=sizes)
-            )
+            partial = policy.victim_order(dataclasses.replace(base, bytes_to_free=bytes_to_free))
             assert partial == full_order[: len(partial)]
             assert sum(sizes[e] for e in partial) >= bytes_to_free
 
     def test_stage_one_coverage_skips_stage_two(self, model, usage):
         """When an orphan frees enough bytes, stage 2 is never touched."""
-        resident = ("cls/c", "det/0", "det/1")
-        policy = make_policy(model, usage, resident)
-        sizes = self._sizes(model, resident)
-        context = dataclasses.replace(
-            make_context(resident), bytes_to_free=1, resident_bytes=sizes
-        )
+        policy, pool = make_policy(model, usage, ("cls/c", "det/0", "det/1"))
+        context = dataclasses.replace(make_context(pool), bytes_to_free=1)
         assert policy.victim_order(context) == ["det/1"]
 
 
@@ -236,7 +232,7 @@ def test_victim_order_matches_brute_force_figure_10(shared_model, data):
     """Full and byte-truncated victim orders against Figure 10 worked out
     from ``DependencyGraph.preliminary_parents``, expert bytes and the
     usage profile.  Residents go in through random loads, evictions and
-    reloads over two pools; protected sets, incoming experts, usage
+    reloads over two pools the policy listens to; protected sets, incoming experts, usage
     profiles (ties, unknown experts) and amounts to free are random too."""
     candidates = sorted(shared_model.experts)
     usage = UsageProfile(
@@ -247,28 +243,29 @@ def test_victim_order_matches_brute_force_figure_10(shared_model, data):
         )
     )
     policy = DependencyAwareEvictionPolicy(shared_model, usage)
-    residents = {pool: [] for pool in POOLS}
+    pools = {name: ModelPool(name, capacity_bytes=1 << 40) for name in POOLS}
+    for pool in pools.values():
+        pool.add_listener(policy)
     churn = data.draw(
         st.lists(st.tuples(st.sampled_from(POOLS), st.sampled_from(candidates)), max_size=40)
     )
-    for pool, expert_id in churn:
-        if expert_id in residents[pool]:
-            residents[pool].remove(expert_id)
-            policy.record_eviction(pool, expert_id)
+    for name, expert_id in churn:
+        pool = pools[name]
+        if expert_id in pool:
+            pool.evict(expert_id)
         else:
-            residents[pool].append(expert_id)
-            policy.record_load(pool, expert_id)
+            pool.load(expert_id, shared_model.expert(expert_id).weight_bytes)
 
-    for pool, resident in residents.items():
+    for pool in pools.values():
         protected = data.draw(st.sets(st.sampled_from(candidates)))
         incoming = data.draw(st.sampled_from(candidates + ["not-in-the-model"]))
-        sizes = {e: shared_model.expert(e).weight_bytes for e in resident}
+        resident = list(pool.resident_sizes())
+        sizes = dict(pool.resident_sizes())
         context = EvictionContext(
-            pool_name=pool,
-            resident_expert_ids=tuple(resident),
+            pool_name=pool.name,
             incoming_expert_id=incoming,
-            bytes_to_free=sum(sizes.values()) + 1,
-            resident_bytes=sizes,
+            bytes_to_free=pool.used_bytes + 1,
+            resident_bytes=pool.resident_sizes(),
             protected_expert_ids=frozenset(protected),
         )
         expected = figure_10_order(shared_model, usage, resident, protected, incoming)
@@ -311,13 +308,11 @@ def test_pools_keep_figure_10_order_through_a_session(
     assert len(pools) == 2
     for pool in pools.values():
         resident = pool.resident_expert_ids()
-        sizes = dict(pool.resident_sizes())
         context = EvictionContext(
             pool_name=pool.name,
-            resident_expert_ids=resident,
             incoming_expert_id="not-in-the-model",
-            bytes_to_free=sum(sizes.values()) + 1,
-            resident_bytes=sizes,
+            bytes_to_free=pool.used_bytes + 1,
+            resident_bytes=pool.resident_sizes(),
         )
         assert simulation.eviction_policy.victim_order(context) == figure_10_order(
             small_model, pressure_usage, resident, (), "not-in-the-model"

@@ -75,9 +75,12 @@ class TestPerformanceMatrixConstruction:
 
     def test_memory_scores_normalised_to_smallest(self, profiler):
         matrix = profiler.build_performance_matrix()
-        scores = [matrix.memory_score(architecture) for architecture in matrix.architectures]
-        assert min(scores) == pytest.approx(1.0)
-        assert matrix.memory_score("resnet101") > matrix.memory_score("yolov5m")
+        scores = {
+            architecture: matrix.record(architecture, ProcessorKind.GPU).memory_score
+            for architecture in matrix.architectures
+        }
+        assert min(scores.values()) == pytest.approx(1.0)
+        assert scores["resnet101"] > scores["yolov5m"]
 
     def test_same_architecture_profiled_once_per_processor(self, profiler, small_model):
         """Experts share their architecture's record (§4.5)."""

@@ -1,20 +1,30 @@
 """Tests for the engine hot-path data structures (run-structured queues,
-the global residency index, O(E) assigning) and for result equivalence
+source-tier lookups over the pools, O(E) assigning) and for result equivalence
 between the optimised engine and the pre-optimisation reference
 implementation kept in :mod:`repro.simulation.reference`."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hardware.memory import MemoryTier
+from repro.hardware.processor import ProcessorKind
+from repro.hardware.units import GB
+from repro.policies import EvictionPolicy, LRUPolicy
+from repro.scheduling.round_robin import RoundRobinScheduling
 from repro.serving import SYSTEM_NAMES, CoServeSystem, build_system
-from repro.simulation.model_pool import ModelPool
+from repro.simulation.engine import ServingSimulation, SimulationOptions
+from repro.simulation.executor import ExecutorConfig
 from repro.simulation.queueing import RequestQueue
-from repro.simulation.reference import ReferenceRequestQueue, preredesign_run, referencify
+from repro.simulation.reference import (
+    ReferenceRequestQueue,
+    _reference_locate_source_tier,
+    preredesign_run,
+    referencify,
+)
 from repro.simulation.request import SimRequest, StageJob
-from repro.simulation.residency import ResidencyIndex
 from repro.workload.generator import RequestSpec, generate_request_stream
 
 
@@ -146,91 +156,147 @@ class TestRunStructuredQueue:
 
 
 # ----------------------------------------------------------------------
-# Residency index
+# Residency: the pools own it
 # ----------------------------------------------------------------------
-class TestResidencyIndex:
-    def _naive_best_tier(self, pools_with_meta, expert_id, exclude_pool):
-        for pool, (_, tier) in sorted(pools_with_meta.items(), key=lambda item: item[1][0]):
-            if pool is exclude_pool:
-                continue
-            if pool.contains(expert_id):
-                return tier
-        return None
+SHARED_AND_PRIVATE = pytest.mark.parametrize("shared", [True, False], ids=["shared", "private"])
 
-    def test_consistent_under_randomised_churn(self):
+
+class _CountingPolicy(EvictionPolicy):
+    """Counts the pool notifications it hears, per (hook, pool name)."""
+
+    def __init__(self) -> None:
+        self.notified = Counter()
+
+    def on_pool_load(self, pool, expert_id) -> None:
+        self.notified["load", pool.name] += 1
+
+    def on_pool_evict(self, pool, expert_id) -> None:
+        self.notified["evict", pool.name] += 1
+
+    def victim_order(self, context):
+        return list(context.evictable())
+
+
+class _PoolChanges:
+    """Session observer counting loads and evictions, per (kind, pool name)."""
+
+    def __init__(self, simulation) -> None:
+        self.changes = Counter()
+        self._pool_names = {executor.name: executor.pool.name for executor in simulation.executors}
+
+    def on_expert_load(self, event) -> None:
+        self.changes["load", self._pool_names[event.executor_name]] += 1
+
+    def on_expert_evict(self, event) -> None:
+        self.changes["evict", event.pool_name] += 1
+
+
+def _three_executor_simulation(device, model, policy, shared):
+    """Two GPU executors and one CPU executor, each with room for three experts."""
+    pool_bytes = 3 * model.largest_expert_bytes
+    configs = [
+        ExecutorConfig("gpu-0", ProcessorKind.GPU, pool_bytes, 1 * GB),
+        ExecutorConfig("cpu-0", ProcessorKind.CPU, pool_bytes, 1 * GB),
+        ExecutorConfig("gpu-1", ProcessorKind.GPU, pool_bytes, 1 * GB),
+    ]
+    return ServingSimulation(
+        device,
+        model,
+        configs,
+        RoundRobinScheduling(),
+        policy,
+        options=SimulationOptions(share_pool_per_processor=shared),
+    )
+
+
+def _distinct_pools(simulation):
+    return list({id(executor.pool): executor.pool for executor in simulation.executors}.values())
+
+
+class TestPoolResidency:
+    @SHARED_AND_PRIVATE
+    def test_lookup_matches_executor_scan_under_randomised_churn(
+        self, numa_device, small_model, shared
+    ):
+        """The engine's source tier (no host cache here) against the
+        reference all-executor scan, after every random load, eviction
+        and clear."""
         rng = random.Random(7)
-        index = ResidencyIndex()
-        pools = {
-            ModelPool("gpu-pool", 1000): (0, MemoryTier.GPU),
-            ModelPool("cpu-pool", 800): (3, MemoryTier.CPU),
-        }
-        for pool, (rank, tier) in pools.items():
-            index.register_pool(pool, tier, rank)
-        experts = [f"e{i}" for i in range(12)]
-
+        simulation = _three_executor_simulation(numa_device, small_model, LRUPolicy(), shared)
+        pools = _distinct_pools(simulation)
+        experts = sorted(small_model.experts)[:12]
         for _ in range(600):
             action = rng.randrange(3)
-            pool = rng.choice(list(pools))
+            pool = rng.choice(pools)
             expert = rng.choice(experts)
-            if action == 0 and not pool.contains(expert) and pool.can_fit(100):
-                pool.load(expert, 100)
+            size = small_model.expert(expert).weight_bytes
+            if action == 0 and not pool.contains(expert) and pool.can_fit(size):
+                pool.load(expert, size)
             elif action == 1 and pool.contains(expert):
                 pool.evict(expert)
             elif action == 2 and rng.random() < 0.05:
                 pool.clear()
-            index.check_consistency()
             probe = rng.choice(experts)
-            exclude = rng.choice(list(pools) + [None])
-            assert index.best_source_tier(probe, exclude_pool=exclude) == self._naive_best_tier(
-                pools, probe, exclude
-            )
+            for executor in simulation.executors:
+                assert simulation._locate_source_tier(executor, probe) is (
+                    _reference_locate_source_tier(simulation, executor, probe)
+                )
 
-    def test_preference_order_matches_executor_ranks(self):
-        index = ResidencyIndex()
-        gpu_pool = ModelPool("gpu-pool", 1000)
-        cpu_pool = ModelPool("cpu-pool", 1000)
-        index.register_pool(gpu_pool, MemoryTier.GPU, 0)
-        index.register_pool(cpu_pool, MemoryTier.CPU, 3)
-        gpu_pool.load("e", 10)
-        cpu_pool.load("e", 10)
-        assert index.best_source_tier("e") is MemoryTier.GPU
-        assert index.best_source_tier("e", exclude_pool=gpu_pool) is MemoryTier.CPU
-        gpu_pool.evict("e")
-        assert index.best_source_tier("e") is MemoryTier.CPU
-        cpu_pool.evict("e")
-        assert index.best_source_tier("e") is None
+    def test_preference_order_is_first_executor_order(self, numa_device, small_model):
+        simulation = _three_executor_simulation(numa_device, small_model, LRUPolicy(), False)
+        gpu_0, cpu_0, gpu_1 = (simulation.executor(name).pool for name in ("gpu-0", "cpu-0", "gpu-1"))
+        expert = sorted(small_model.experts)[0]
+        size = small_model.expert(expert).weight_bytes
+        gpu_1.load(expert, size)
+        cpu_0.load(expert, size)
+        assert simulation.other_pool_tier(gpu_0, expert) is MemoryTier.CPU
+        assert simulation.other_pool_tier(cpu_0, expert) is MemoryTier.GPU
+        cpu_0.evict(expert)
+        assert simulation.other_pool_tier(gpu_0, expert) is MemoryTier.GPU
+        assert simulation.other_pool_tier(gpu_1, expert) is None
 
-    def test_registration_seeds_existing_residents(self):
-        pool = ModelPool("p", 100)
-        pool.load("early", 10)
-        index = ResidencyIndex()
-        index.register_pool(pool, MemoryTier.GPU, 0)
-        assert index.best_source_tier("early") is MemoryTier.GPU
-        index.check_consistency()
-
-    def test_engine_residency_consistent_after_run(
-        self, numa_device, small_model, pressure_stream, pressure_usage, numa_matrix
+    @SHARED_AND_PRIVATE
+    def test_lookup_matches_executor_scan_after_run(
+        self, numa_device, small_model, pressure_stream, pressure_usage, numa_matrix, shared
     ):
         system = build_system(
-            "coserve", numa_device, small_model, pressure_usage, performance_matrix=numa_matrix
+            "coserve",
+            numa_device,
+            small_model,
+            pressure_usage,
+            performance_matrix=numa_matrix,
+            options=SimulationOptions(share_pool_per_processor=shared),
         )
         simulation = system.build_simulation()
         simulation.run(pressure_stream)
-        simulation.residency.check_consistency()
-        # the index agrees with a ground-truth pool scan for every expert
+        # Without the host cache both sides answer from the pools alone.
+        simulation.host_cache = None
         for expert_id in small_model.experts:
             for executor in simulation.executors:
-                expected = None
-                for other in simulation.executors:
-                    if other.pool is executor.pool:
-                        continue
-                    if other.pool.contains(expert_id):
-                        expected = simulation.device.memory_tier_for(other.kind)
-                        break
-                assert (
-                    simulation.residency.best_source_tier(expert_id, exclude_pool=executor.pool)
-                    == expected
+                assert simulation._locate_source_tier(executor, expert_id) is (
+                    _reference_locate_source_tier(simulation, executor, expert_id)
                 )
+
+    @SHARED_AND_PRIVATE
+    def test_policy_hears_each_pool_change_once(
+        self, numa_device, small_model, pressure_stream, shared
+    ):
+        """One notification per pool load (preloads included) and per
+        eviction, whether executors share pools or not."""
+        policy = _CountingPolicy()
+        simulation = _three_executor_simulation(numa_device, small_model, policy, shared)
+        experts = sorted(small_model.experts)
+        simulation.preload({"gpu-0": experts[:2], "cpu-0": experts[2:4], "gpu-1": experts[4:6]})
+        expected = Counter(
+            {("load", pool.name): len(pool) for pool in _distinct_pools(simulation)}
+        )
+        changes = _PoolChanges(simulation)
+
+        simulation.run(pressure_stream, observers=[changes])
+
+        expected.update(changes.changes)
+        assert sum(count for (hook, _), count in expected.items() if hook == "evict") > 0
+        assert policy.notified == expected
 
 
 # ----------------------------------------------------------------------

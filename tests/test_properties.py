@@ -22,6 +22,7 @@ from repro.simulation.queueing import RequestQueue
 from repro.simulation.request import SimRequest, StageJob
 from repro.simulation.resources import SerialResource
 from repro.workload.generator import RequestSpec
+from test_core_expert_manager import figure_10_order
 
 
 # ----------------------------------------------------------------------
@@ -124,9 +125,9 @@ def test_queue_grouped_insertion_keeps_same_expert_contiguous(expert_indices):
 # ----------------------------------------------------------------------
 # Policy invariants
 # ----------------------------------------------------------------------
-def _dependency_aware_policy():
-    """Figure 10's policy over e0..e8: e3 depends on e0 and e1, e4 on e1,
-    e5 on e2 and e7 on e6; e8 stands alone."""
+def _figure_10_model():
+    """Figure 10's model over e0..e8 and its usage profile: e3 depends on
+    e0 and e1, e4 on e1, e5 on e2 and e7 on e6; e8 stands alone."""
     pipelines = [("e0", "e3"), ("e1", "e3"), ("e1", "e4"), ("e2", "e5"), ("e6", "e7"), ("e8",)]
     subsequent = {pipeline[-1] for pipeline in pipelines if len(pipeline) > 1}
     experts = {
@@ -144,61 +145,75 @@ def _dependency_aware_policy():
         ]
     )
     usage = UsageProfile({f"e{index}": (index % 4) / 10 for index in range(9)})
-    return DependencyAwareEvictionPolicy(CoEModel("prop", experts, router), usage)
+    return CoEModel("prop", experts, router), usage
+
+
+def _dependency_aware_policy():
+    return DependencyAwareEvictionPolicy(*_figure_10_model())
+
+
+def _full_order_context(pool, protected=frozenset()):
+    return EvictionContext(
+        pool_name=pool.name,
+        incoming_expert_id="incoming",
+        bytes_to_free=pool.used_bytes + 1,
+        resident_bytes=pool.resident_sizes(),
+        protected_expert_ids=protected,
+    )
 
 
 @given(
     st.sampled_from([LRUPolicy, FIFOPolicy, LFUPolicy, _dependency_aware_policy]),
     st.lists(
-        st.tuples(st.sampled_from(["load", "access", "evict"]), st.integers(0, 8)), max_size=50
+        st.tuples(st.sampled_from(["load", "access", "evict", "clear"]), st.integers(0, 8)),
+        max_size=50,
     ),
-    st.sets(st.integers(0, 8), max_size=9),
 )
 @settings(max_examples=110, deadline=None)
-def test_policies_return_permutation_of_evictable(make_policy, history, resident_indices):
-    """LRU, FIFO and LFU order what the context holds: they are told the
-    history as drawn and given residents drawn apart from it, so some
-    residents were never recorded and some recorded experts are not held.
-    The dependency-aware policy orders the residency it was told about:
-    it is told the history as the engine tells it (loads of absent
-    experts, accesses and evictions of held ones, reloads), and the
-    context holds what that history leaves."""
+def test_policies_return_permutation_of_evictable(make_policy, history):
+    """Each policy orders exactly the evictable residents of a pool it
+    listens to, after a history the engine could produce: loads of
+    absent experts, accesses and evictions of held ones, reloads and
+    clears."""
     policy = make_policy()
-    if make_policy is _dependency_aware_policy:
-        held = set()
-        for op, index in history:
-            expert = f"e{index}"
-            if op == "load" and expert not in held:
-                held.add(expert)
-                policy.record_load("pool", expert)
-            elif op == "access" and expert in held:
-                policy.record_access("pool", expert)
-            elif op == "evict" and expert in held:
-                held.remove(expert)
-                policy.record_eviction("pool", expert)
-        resident = tuple(sorted(held))
-    else:
-        record = {
-            "load": policy.record_load,
-            "access": policy.record_access,
-            "evict": policy.record_eviction,
-        }
-        for op, index in history:
-            record[op]("pool", f"e{index}")
-        resident = tuple(sorted(f"e{i}" for i in resident_indices))
+    pool = ModelPool("pool", capacity_bytes=1 << 40)
+    pool.add_listener(policy)
+    for op, index in history:
+        expert = f"e{index}"
+        if op == "load" and expert not in pool:
+            pool.load(expert, 1 + index)
+        elif op == "access" and expert in pool:
+            policy.record_access(pool.name, expert)
+        elif op == "evict" and expert in pool:
+            pool.evict(expert)
+        elif op == "clear" and index == 0:  # one clear draw in nine empties the pool
+            pool.clear()
+    resident = pool.resident_expert_ids()
     if not resident:
         return
-    context = EvictionContext(
-        pool_name="pool",
-        resident_expert_ids=resident,
-        incoming_expert_id="incoming",
-        bytes_to_free=len(resident) + 1,
-        resident_bytes={expert: 1 for expert in resident},
-        protected_expert_ids=frozenset({resident[0]}),
-    )
+    context = _full_order_context(pool, protected=frozenset({resident[0]}))
     order = policy.victim_order(context)
     assert sorted(order) == sorted(context.evictable())
     assert resident[0] not in order
+
+
+def test_clear_keeps_figure_10_stages():
+    """``ModelPool.clear`` evicts one resident at a time, so a listener
+    reading the pool sees each eviction with the rest still held: the
+    dependency-aware policy's stages survive a clear and later reloads."""
+    model, usage = _figure_10_model()
+    policy = DependencyAwareEvictionPolicy(model, usage)
+    pool = ModelPool("pool", capacity_bytes=1 << 40)
+    pool.add_listener(policy)
+    for expert in ("e0", "e1", "e3", "e4", "e6", "e7"):
+        pool.load(expert, model.expert(expert).weight_bytes)
+    pool.clear()
+    assert len(pool) == 0 and pool.used_bytes == 0
+    for expert in ("e3", "e1"):
+        pool.load(expert, model.expert(expert).weight_bytes)
+    resident = pool.resident_expert_ids()
+    expected = figure_10_order(model, usage, resident, (), "incoming")
+    assert policy.victim_order(_full_order_context(pool)) == expected
 
 
 # ----------------------------------------------------------------------
