@@ -17,6 +17,13 @@ and asserts:
   run's (pruning must never perturb what it keeps);
 - the pruned fraction is exactly what was asked for.
 
+Beside the timed floor, :func:`test_surrogate_prune_simulates_only_survivors`
+counts what the prune simulates on the same grid at
+:data:`COUNTED_REQUESTS` requests per cell: exactly the survivors, once
+each.  The count does not depend on the machine, so it catches a prune
+that simulates more than it keeps even when the wall-clock ratio is
+noisy.
+
 Measured numbers are recorded to ``BENCH_sweeps.json`` alongside the
 executor benchmarks.  ``COSERVE_BENCH_FULL_SCALE=1`` uses the paper's
 full request counts.
@@ -24,19 +31,23 @@ full request counts.
 
 from __future__ import annotations
 
+import collections
 import os
 import pickle
 import time
 
 from recorder import BENCH_SWEEPS_FILE, record_bench_result
 from repro.experiments.base import EvaluationSettings
-from repro.sweeps import SweepCell, SweepGrid, SweepRunner
+from repro.sweeps import SweepCell, SweepGrid, SweepRunner, runner
 
 #: Required wall-clock reduction of the pruned sweep (the ISSUE's floor).
 MIN_PRUNE_SPEEDUP = 3.0
 
 #: Fraction of each (device, task) group the surrogate stage cuts.
 PRUNE_FRACTION = 0.75
+
+#: Requests per cell of the deterministic count beside the timed floor.
+COUNTED_REQUESTS = 400
 
 
 def _full_scale() -> bool:
@@ -177,3 +188,31 @@ def test_surrogate_prune_speedup():
         f"(exhaustive {exhaustive_elapsed:.2f}s, pruned {pruned_elapsed:.2f}s at "
         f"prune_fraction={PRUNE_FRACTION})"
     )
+
+
+def test_surrogate_prune_simulates_only_survivors(monkeypatch):
+    """The prune simulates its 13 survivors once each, and nothing else."""
+    settings = EvaluationSettings(
+        full_scale=False,
+        reduced_requests=COUNTED_REQUESTS,
+        devices=("numa",),
+        task_names=("B2",),
+    )
+    grid = _large_grid()
+    simulated = collections.Counter()
+    requests = []
+    execute_cell = runner.execute_cell
+
+    def counting_execute_cell(context, cell, *args, **kwargs):
+        result = execute_cell(context, cell, *args, **kwargs)
+        simulated[cell.key] += 1
+        requests.append(result.num_requests)
+        return result
+
+    monkeypatch.setattr(runner, "execute_cell", counting_execute_cell)
+    pruned = SweepRunner(settings=settings, prune_fraction=PRUNE_FRACTION).run(grid)
+
+    survivors = [cell.key for cell in grid if not pruned.is_pruned(cell)]
+    assert len(grid) == 49 and len(survivors) == 13
+    assert simulated == collections.Counter(survivors)
+    assert sum(requests) == 13 * COUNTED_REQUESTS == 5200

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -99,10 +99,6 @@ class UsageProfile:
         cdf = self.cdf()
         return float(cdf[min(top_n, len(cdf)) - 1])
 
-    def subset(self, expert_ids: Iterable[str]) -> "UsageProfile":
-        """Restrict the profile to a subset of experts."""
-        subset = {eid: self.probabilities[eid] for eid in expert_ids if eid in self.probabilities}
-        return UsageProfile(subset)
 
 
 def compute_usage_profile(

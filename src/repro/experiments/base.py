@@ -18,7 +18,7 @@ from repro.metrics.report import format_table
 from repro.serving.base import ServingSystem
 from repro.workload.circuit_board import CircuitBoard
 from repro.workload.generator import RequestStream
-from repro.workload.tasks import Task, standard_tasks
+from repro.workload.tasks import Task, task_by_name
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,7 @@ class EvaluationContext:
         return self._devices[architecture]
 
     def task(self, name: str) -> Task:
-        for task in standard_tasks():
-            if task.name == name:
-                return task
-        raise KeyError(f"unknown task '{name}'")
+        return task_by_name(name)
 
     def board_and_model(self, task_name: str) -> Tuple[CircuitBoard, CoEModel]:
         if task_name not in self._task_data:

@@ -10,6 +10,9 @@ configurations into runnable serving systems:
   §5.3);
 * :func:`build_system` — a name-based factory used by the experiment
   harness;
+* :func:`~repro.serving.layout.deployment_layout` — the one memory
+  layout every system deploys through (executor budgets, pool splits,
+  the NUMA host cache);
 * :mod:`repro.serving.tuning` — the offline searches for the number of
   executors (Figure 17) and the memory allocation (Figure 18).
 """

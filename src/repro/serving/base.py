@@ -1,4 +1,11 @@
-"""Base class shared by every serving system."""
+"""Base class shared by every serving system.
+
+A concrete system chooses its executor counts, the expert pool each
+executor asks for and its policies; :meth:`ServingSystem._deploy` then
+lays the deployment out with :func:`~repro.serving.layout.deployment_layout`,
+builds the simulation and runs the initialisation preloads (§4.1), the
+same way for every system.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +18,10 @@ from repro.core.config import PerformanceMatrix
 from repro.core.initializer import host_cache_preload_plan, round_robin_preload_plan
 from repro.core.profiler import OfflineProfiler
 from repro.hardware.device import Device
-from repro.simulation.engine import ServingSimulation
-from repro.simulation.executor import ExecutorConfig
+from repro.policies.base import EvictionPolicy
+from repro.serving.layout import PoolRequest, deployment_layout, whole_budget
+from repro.simulation.engine import ServingSimulation, SimulationOptions
+from repro.simulation.interfaces import SchedulingPolicy
 from repro.simulation.results import SimulationResult
 from repro.simulation.session import SimulationSession
 from repro.workload.generator import RequestStreamLike
@@ -24,10 +33,10 @@ ServingResult = SimulationResult
 class ServingSystem(abc.ABC):
     """A CoE serving system bound to a device and a CoE model.
 
-    Concrete systems differ in how they configure executors, memory
-    budgets, scheduling and eviction; they all serve request streams
-    through the same discrete-event engine, so their results are
-    directly comparable.
+    Concrete systems differ in their executor counts, the expert pool
+    each executor asks for, scheduling and eviction; they all lay their
+    memory out the same way and serve request streams through the same
+    discrete-event engine, so their results are directly comparable.
     """
 
     #: Human-readable system name used in reports (overridden per instance).
@@ -37,14 +46,24 @@ class ServingSystem(abc.ABC):
         self,
         device: Device,
         model: CoEModel,
-        usage_profile: Optional[UsageProfile] = None,
-        performance_matrix: Optional[PerformanceMatrix] = None,
+        usage_profile: Optional[UsageProfile],
+        performance_matrix: Optional[PerformanceMatrix],
+        options: Optional[SimulationOptions],
+        gpu_executors: int,
+        cpu_executors: int,
     ) -> None:
+        if gpu_executors < 1:
+            raise ValueError("a serving system needs at least one GPU executor")
+        if cpu_executors < 0:
+            raise ValueError("cpu_executors must be non-negative")
         self.device = device
         self.model = model
         self.usage_profile = usage_profile or self._default_usage_profile()
         #: The offline profiler's matrix; profiled on first use if None.
         self.performance_matrix = performance_matrix
+        self.options = options or SimulationOptions()
+        self.gpu_executors = gpu_executors
+        self.cpu_executors = cpu_executors
 
     def _default_usage_profile(self) -> UsageProfile:
         """Uniform usage probabilities when no profile is supplied."""
@@ -66,7 +85,7 @@ class ServingSystem(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def build_simulation(self) -> ServingSimulation:
-        """Construct and initialise the simulation for one run."""
+        """Choose the pool requests and policies of one run, then :meth:`_deploy`."""
 
     def _matrix(self) -> PerformanceMatrix:
         if self.performance_matrix is None:
@@ -74,26 +93,43 @@ class ServingSystem(abc.ABC):
             self.performance_matrix = profiler.build_performance_matrix()
         return self.performance_matrix
 
-    def _preload(
+    def _deploy(
         self,
-        simulation: ServingSimulation,
-        executor_configs: Sequence[ExecutorConfig],
-        host_cache_bytes: int,
-    ) -> None:
-        """Run the initialisation preloads of ``simulation`` (§4.1).
+        scheduling_policy: SchedulingPolicy,
+        eviction_policy: EvictionPolicy,
+        gpu_pool: PoolRequest = whole_budget,
+        cpu_pool: PoolRequest = whole_budget,
+        preload_host_cache: bool = True,
+    ) -> ServingSimulation:
+        """Lay the deployment out, build its simulation and preload it (§4.1).
 
         Executor pools are filled round-robin by descending usage
-        probability; then, if ``host_cache_bytes`` is positive, the host
+        probability; then, if ``preload_host_cache``, the NUMA host
         cache stages the most-used experts no pool holds.
         """
-        plan = round_robin_preload_plan(executor_configs, self.model, self.usage_profile)
+        layout = deployment_layout(
+            self.device, self.model, self._matrix(), self.gpu_executors, self.cpu_executors,
+            gpu_pool, cpu_pool,
+        )
+        simulation = ServingSimulation(
+            device=self.device,
+            model=self.model,
+            executor_configs=layout.executor_configs,
+            scheduling_policy=scheduling_policy,
+            eviction_policy=eviction_policy,
+            host_cache_bytes=layout.host_cache_bytes,
+            options=self.options,
+            system_name=self.name,
+        )
+        plan = round_robin_preload_plan(layout.executor_configs, self.model, self.usage_profile)
         simulation.preload(plan)
-        if host_cache_bytes > 0:
+        if preload_host_cache and layout.host_cache_bytes > 0:
             already_resident = {expert for experts in plan.values() for expert in experts}
             cache_plan = host_cache_preload_plan(
-                host_cache_bytes, self.model, self.usage_profile, exclude=already_resident
+                layout.host_cache_bytes, self.model, self.usage_profile, exclude=already_resident
             )
             simulation.preload_host_cache(cache_plan)
+        return simulation
 
     def session(
         self, stream: RequestStreamLike, observers: Sequence[object] = ()

@@ -5,7 +5,9 @@
 * the offline profiler's performance matrix and pre-assessed usage
   probabilities (§4.5),
 * memory allocation between expert loading and intermediate results
-  (§4.4),
+  (§4.4): GPU executors ask for an expert-count or fraction pool, CPU
+  executors for the limited-compute one, and
+  :func:`~repro.serving.layout.deployment_layout` lays them out,
 * executor creation and round-robin expert initialisation (§4.1),
 * the dependency-aware request scheduler (§4.2), and
 * the dependency-aware expert manager (§4.3).
@@ -23,33 +25,20 @@ Factory classmethods build the configurations evaluated in the paper:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile
-from repro.core.config import PerformanceMatrix
+from repro.core.config import ExpertPerformanceRecord, PerformanceMatrix
 from repro.core.expert_manager import DependencyAwareEvictionPolicy
-from repro.core.memory import (
-    limited_compute_plan,
-    split_capacity_by_expert_count,
-    split_capacity_by_fraction,
-)
+from repro.core.memory import split_capacity_by_expert_count, split_capacity_by_fraction
 from repro.core.scheduler import CoServeScheduler
 from repro.hardware.device import Device
-from repro.hardware.processor import ProcessorKind
 from repro.policies.fifo import FIFOPolicy
 from repro.serving.base import ServingSystem
-from repro.serving.layout import (
-    CPU_EXECUTOR_BUDGET_FRACTION,
-    clamp_expert_pool,
-    usable_device_budget,
-)
+from repro.serving.layout import DEFAULT_CPU_EXECUTORS, DEFAULT_GPU_EXECUTORS, limited_compute_pool
 from repro.simulation.engine import ServingSimulation, SimulationOptions
-from repro.simulation.executor import ExecutorConfig
 
-#: Default executor counts per device architecture (§5.2/§5.3).
-DEFAULT_GPU_EXECUTORS = {"numa": 3, "uma": 2}
-DEFAULT_CPU_EXECUTORS = {"numa": 1, "uma": 1}
 #: Default number of experts kept resident in GPU memory for the
 #: "Best" configuration.  The paper's decay-window search selects 35
 #: (Task A) / 34 (Task B) on its NUMA GPU; on the calibrated simulation
@@ -83,14 +72,12 @@ class CoServeSystem(ServingSystem):
         options: Optional[SimulationOptions] = None,
         label: str = "CoServe",
     ) -> None:
-        super().__init__(device, model, usage_profile, performance_matrix)
         arch = device.architecture.value
-        self.gpu_executors = gpu_executors if gpu_executors is not None else DEFAULT_GPU_EXECUTORS[arch]
-        self.cpu_executors = cpu_executors if cpu_executors is not None else DEFAULT_CPU_EXECUTORS[arch]
-        if self.gpu_executors <= 0:
-            raise ValueError("CoServe needs at least one GPU executor")
-        if self.cpu_executors < 0:
-            raise ValueError("cpu_executors must be non-negative")
+        super().__init__(
+            device, model, usage_profile, performance_matrix, options,
+            DEFAULT_GPU_EXECUTORS[arch] if gpu_executors is None else gpu_executors,
+            DEFAULT_CPU_EXECUTORS[arch] if cpu_executors is None else cpu_executors,
+        )
         if gpu_expert_count is not None and gpu_expert_fraction is not None:
             raise ValueError("specify either gpu_expert_count or gpu_expert_fraction, not both")
         self.gpu_expert_count = gpu_expert_count
@@ -107,7 +94,6 @@ class CoServeSystem(ServingSystem):
             else DEFAULT_SCHEDULING_LATENCY_MS[arch]
         )
         self.preload_host_cache_enabled = preload_host_cache
-        self.options = options or SimulationOptions()
         self.name = label
 
     # ------------------------------------------------------------------
@@ -136,8 +122,6 @@ class CoServeSystem(ServingSystem):
         """The casually chosen configuration of §5.2 ("CoServe Casual")."""
         overrides.setdefault("label", "CoServe Casual")
         overrides.setdefault("gpu_expert_fraction", 0.75)
-        overrides.setdefault("gpu_executors", 3 if not device.is_uma else 2)
-        overrides.setdefault("cpu_executors", 1)
         overrides["gpu_expert_count"] = None
         return cls(device, model, usage_profile, **overrides)
 
@@ -186,78 +170,23 @@ class CoServeSystem(ServingSystem):
     # ------------------------------------------------------------------
     # Simulation construction
     # ------------------------------------------------------------------
-    def _gpu_executor_configs(self, matrix: PerformanceMatrix, gpu_budget: int) -> List[ExecutorConfig]:
-        per_executor_total = gpu_budget // self.gpu_executors
-        gpu_records = [
-            matrix.record(architecture, ProcessorKind.GPU) for architecture in matrix.architectures
-        ]
-        min_activation = max(record.activation_bytes_per_sample for record in gpu_records)
-        if self.gpu_expert_fraction is not None:
-            plan = split_capacity_by_fraction(per_executor_total, self.gpu_expert_fraction)
-            pool_bytes = plan.expert_pool_bytes
-        else:
-            total_pool = split_capacity_by_expert_count(
-                gpu_budget, self.gpu_expert_count, self.model.mean_expert_bytes
-            ).expert_pool_bytes
-            pool_bytes = total_pool // self.gpu_executors
-        pool_bytes, activation_bytes = clamp_expert_pool(
-            pool_bytes, per_executor_total, self.model.largest_expert_bytes, min_activation
-        )
-        return [
-            ExecutorConfig(
-                name=f"gpu-{index}",
-                processor_kind=ProcessorKind.GPU,
-                expert_pool_bytes=pool_bytes,
-                activation_budget_bytes=activation_bytes,
-            )
-            for index in range(self.gpu_executors)
-        ]
+    def _gpu_pool(self, total_bytes: int, records: Sequence[ExpertPerformanceRecord]) -> int:
+        """A GPU executor's pool request (§4.4).
 
-    def _cpu_executor_configs(
-        self, matrix: PerformanceMatrix, cpu_budget: int
-    ) -> List[ExecutorConfig]:
-        if self.cpu_executors == 0 or cpu_budget <= 0:
-            return []
-        cpu_records = [
-            matrix.record(architecture, ProcessorKind.CPU) for architecture in matrix.architectures
-        ]
-        if self.device.is_uma:
-            per_executor_budget = cpu_budget // self.cpu_executors
-        else:
-            per_executor_budget = int(cpu_budget * CPU_EXECUTOR_BUDGET_FRACTION) // self.cpu_executors
-        configs = []
-        for index in range(self.cpu_executors):
-            plan = limited_compute_plan(cpu_records, per_executor_budget)
-            pool_bytes, activation_bytes = clamp_expert_pool(
-                plan.expert_pool_bytes,
-                per_executor_budget,
-                self.model.largest_expert_bytes,
-                max(record.activation_bytes_per_sample for record in cpu_records),
-            )
-            configs.append(
-                ExecutorConfig(
-                    name=f"cpu-{index}",
-                    processor_kind=ProcessorKind.CPU,
-                    expert_pool_bytes=pool_bytes,
-                    activation_budget_bytes=activation_bytes,
-                )
-            )
-        return configs
+        Either ``gpu_expert_fraction`` of the executor, or its equal
+        share of ``gpu_expert_count`` mean-sized experts held across the
+        GPU executors' combined budget.
+        """
+        if self.gpu_expert_fraction is not None:
+            return split_capacity_by_fraction(total_bytes, self.gpu_expert_fraction).expert_pool_bytes
+        combined = split_capacity_by_expert_count(
+            total_bytes * self.gpu_executors, self.gpu_expert_count, self.model.mean_expert_bytes
+        )
+        return combined.expert_pool_bytes // self.gpu_executors
 
     def build_simulation(self) -> ServingSimulation:
-        matrix = self._matrix()
-        budget = usable_device_budget(self.device, self.cpu_executors)
-        gpu_configs = self._gpu_executor_configs(matrix, budget.gpu_bytes)
-        cpu_configs = self._cpu_executor_configs(matrix, budget.cpu_bytes)
-        executor_configs = gpu_configs + cpu_configs
-
-        host_cache_bytes = 0
-        if not self.device.is_uma:
-            cpu_used = sum(config.total_bytes for config in cpu_configs)
-            host_cache_bytes = max(0, budget.cpu_bytes - cpu_used)
-
         scheduler = CoServeScheduler(
-            matrix=matrix,
+            matrix=self._matrix(),
             model=self.model,
             scheduling_latency_ms=self.scheduling_latency_ms,
             enable_assigning=self.enable_assigning,
@@ -268,20 +197,10 @@ class CoServeSystem(ServingSystem):
             eviction = DependencyAwareEvictionPolicy(self.model, self.usage_profile)
         else:
             eviction = FIFOPolicy()
-
-        simulation = ServingSimulation(
-            device=self.device,
-            model=self.model,
-            executor_configs=executor_configs,
-            scheduling_policy=scheduler,
-            eviction_policy=eviction,
-            host_cache_bytes=host_cache_bytes,
-            options=self.options,
-            system_name=self.name,
+        return self._deploy(
+            scheduler,
+            eviction,
+            gpu_pool=self._gpu_pool,
+            cpu_pool=limited_compute_pool,
+            preload_host_cache=self.preload_host_cache_enabled,
         )
-        self._preload(
-            simulation,
-            executor_configs,
-            host_cache_bytes if self.preload_host_cache_enabled else 0,
-        )
-        return simulation

@@ -25,12 +25,8 @@ from repro.core.config import PerformanceMatrix
 from repro.core.memory import DecayWindowResult, DecayWindowSearch
 from repro.core.profiler import OfflineProfiler
 from repro.hardware.device import Device
-from repro.serving.coserve import (
-    DEFAULT_CPU_EXECUTORS,
-    DEFAULT_GPU_EXECUTORS,
-    CoServeSystem,
-)
-from repro.serving.layout import usable_device_budget
+from repro.serving.coserve import CoServeSystem
+from repro.serving.layout import DEFAULT_CPU_EXECUTORS, DEFAULT_GPU_EXECUTORS, usable_device_budget
 from repro.workload.generator import RequestStream
 
 

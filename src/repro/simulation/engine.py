@@ -108,9 +108,12 @@ class SimulationOptions:
     Parameters
     ----------
     keep_request_records:
-        Keep per-request stage records in the result (needed for the
-        latency breakdowns of Figures 1 and 19; can be disabled for
-        large sweeps).
+        Keep every completed request, with its stage records, in the
+        result's ``requests``.  Only a caller that reads per-request
+        latencies needs them (the surrogate's validation against
+        simulated percentiles, for one): every figure reads aggregates,
+        and :func:`~repro.sweeps.runner.execute_cell` drops them for
+        every sweep cell.  Disable for large runs.
     share_pool_per_processor:
         Executors bound to the same processor share one model pool
         (they share the same physical memory).  Disable to give every

@@ -110,9 +110,6 @@ class HostCache:
         return freed
 
     def clear(self) -> None:
-        removed = tuple(self._resident)
-        self._resident.clear()
-        self._used_bytes = 0
-        for expert_id in removed:
-            for listener in self._listeners:
-                listener.on_host_cache_remove(self, expert_id)
+        """Drop every expert, one at a time, notifying each removal."""
+        for expert_id in tuple(self._resident):
+            self.remove(expert_id)

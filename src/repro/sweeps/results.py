@@ -115,10 +115,6 @@ class SweepResults:
         """The cell's surrogate estimate, if the sweep scored it."""
         return self._estimates.get(cell.key)
 
-    def estimates(self) -> Iterator[Tuple[CellKey, "SurrogateEstimate"]]:
-        """Iterate ``(cell key, estimate)`` pairs in recording order."""
-        return iter(self._estimates.items())
-
     # ------------------------------------------------------------------
     # Planned-sweep drift
     # ------------------------------------------------------------------

@@ -95,12 +95,6 @@ class CircuitBoard:
                     f"{self.detection_groups}"
                 )
 
-    def component(self, name: str) -> ComponentType:
-        for candidate in self.components:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(f"board '{self.name}' has no component '{name}'")
-
     def quantity_weights(self) -> Dict[str, float]:
         """Component-name -> quantity map (the category mix for §4.5)."""
         return {component.name: float(component.quantity) for component in self.components}

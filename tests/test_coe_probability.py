@@ -67,11 +67,6 @@ class TestUsageProfile:
         assert profile.coverage(2) == pytest.approx(0.8)
         assert profile.coverage(10) == pytest.approx(1.0)
 
-    def test_subset(self):
-        profile = UsageProfile({"a": 0.5, "b": 0.3, "c": 0.2})
-        subset = profile.subset(["a", "c", "missing"])
-        assert len(subset) == 2
-
     def test_all_zero_probabilities_have_flat_cdf(self):
         profile = UsageProfile({"a": 0.0, "b": 0.0})
         assert np.all(profile.cdf() == 0)

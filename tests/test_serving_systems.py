@@ -90,9 +90,7 @@ class TestSambaCoEConfiguration:
         with pytest.raises(ValueError):
             SambaCoESystem(numa_device, small_model, small_usage, replacement="mru")
         with pytest.raises(ValueError):
-            SambaCoESystem(numa_device, small_model, small_usage, gpu_executors=2)  # non-parallel
-        with pytest.raises(ValueError):
-            SambaCoESystem(numa_device, small_model, small_usage, parallel=True, gpu_executors=0)
+            SambaCoESystem(numa_device, small_model, small_usage, gpu_executors=0)
 
 
 class TestCoServeConfiguration:

@@ -104,6 +104,23 @@ class TestHostCache:
         with pytest.raises(ValueError):
             HostCache(-1)
 
+    def test_clear_notifies_each_removal_with_the_cache_current(self):
+        seen = []
+
+        class Listener:
+            def on_host_cache_put(self, cache, expert_id):
+                pass
+
+            def on_host_cache_remove(self, cache, expert_id):
+                seen.append((expert_id, cache.used_bytes, cache.resident_count))
+
+        cache = HostCache(100)
+        cache.add_listener(Listener())
+        for expert_id, size in (("a", 30), ("b", 20), ("c", 50)):
+            cache.put(expert_id, size)
+        cache.clear()
+        assert seen == [("a", 70, 2), ("b", 50, 1), ("c", 0, 0)]
+
 
 class TestSerialResource:
     def test_acquisitions_serialise(self):

@@ -57,13 +57,6 @@ class TestBoardConstruction:
         assert len(weights) == 5
         assert all(weight >= 1 for weight in weights.values())
 
-    def test_component_lookup(self):
-        board = make_board("X", component_types=3, detection_groups=1)
-        component = board.components[0]
-        assert board.component(component.name) is component
-        with pytest.raises(KeyError):
-            board.component("missing")
-
     def test_duplicate_component_names_rejected(self):
         component = ComponentType(name="dup", quantity=1)
         with pytest.raises(ValueError):

@@ -113,7 +113,8 @@ class TestStreamGeneration:
         categories = [r.category for r in stream]
         # Scan order: the first requests all belong to the first component.
         first = categories[0]
-        run_length = min(board.component(first).quantity, len(categories))
+        quantity = next(c.quantity for c in board.components if c.name == first)
+        run_length = min(quantity, len(categories))
         assert categories[:run_length] == [first] * run_length
 
     def test_shuffled_order_draws_from_distribution(self, board, model):
