@@ -17,12 +17,21 @@ and asserts:
   run's (pruning must never perturb what it keeps);
 - the pruned fraction is exactly what was asked for.
 
-Beside the timed floor, :func:`test_surrogate_prune_simulates_only_survivors`
-counts what the prune simulates on the same grid at
-:data:`COUNTED_REQUESTS` requests per cell: exactly the survivors, once
-each.  The count does not depend on the machine, so it catches a prune
-that simulates more than it keeps even when the wall-clock ratio is
-noisy.
+Beside the timed floor, deterministic checks run on (numa, B2) at
+:data:`COUNTED_REQUESTS` requests per cell; none depends on the
+machine, so each catches its regression even when the wall-clock ratio
+is noisy:
+
+- :func:`test_surrogate_prune_simulates_only_survivors` counts what the
+  prune of the same grid simulates: exactly the survivors, once each;
+- :func:`test_surrogate_prune_sessions_keep_no_records` checks that
+  every session that prune opens keeps neither request nor stage
+  records;
+- :func:`test_cells_and_tuning_replays_leave_no_records_for_the_collector`
+  runs a sweep cell and two tuning replays with the cyclic garbage
+  collector off and finds no request or stage record left for
+  ``gc.collect()``.  A finished simulation sits in reference cycles,
+  so records it kept would wait for a full collection.
 
 Measured numbers are recorded to ``BENCH_sweeps.json`` alongside the
 executor benchmarks.  ``COSERVE_BENCH_FULL_SCALE=1`` uses the paper's
@@ -32,12 +41,19 @@ full request counts.
 from __future__ import annotations
 
 import collections
+import gc
 import os
 import pickle
 import time
 
+import pytest
+
 from recorder import BENCH_SWEEPS_FILE, record_bench_result
-from repro.experiments.base import EvaluationSettings
+from repro.experiments.base import EvaluationContext, EvaluationSettings
+from repro.serving.coserve import DEFAULT_GPU_EXPERT_COUNT
+from repro.serving.tuning import measure_throughput, sweep_executor_configurations
+from repro.simulation.engine import ServingSimulation
+from repro.simulation.request import SimRequest, StageRecord
 from repro.sweeps import SweepCell, SweepGrid, SweepRunner, runner
 
 #: Required wall-clock reduction of the pruned sweep (the ISSUE's floor).
@@ -190,18 +206,25 @@ def test_surrogate_prune_speedup():
     )
 
 
-def test_surrogate_prune_simulates_only_survivors(monkeypatch):
-    """The prune simulates its 13 survivors once each, and nothing else."""
-    settings = EvaluationSettings(
+def _counted_settings() -> EvaluationSettings:
+    return EvaluationSettings(
         full_scale=False,
         reduced_requests=COUNTED_REQUESTS,
         devices=("numa",),
         task_names=("B2",),
     )
+
+
+@pytest.fixture(scope="module")
+def counted_prune():
+    """One prune of the grid, counting the cells it simulates and the
+    record options of every session it opens."""
     grid = _large_grid()
     simulated = collections.Counter()
     requests = []
+    session_records = []
     execute_cell = runner.execute_cell
+    open_session = ServingSimulation.session
 
     def counting_execute_cell(context, cell, *args, **kwargs):
         result = execute_cell(context, cell, *args, **kwargs)
@@ -209,10 +232,83 @@ def test_surrogate_prune_simulates_only_survivors(monkeypatch):
         requests.append(result.num_requests)
         return result
 
-    monkeypatch.setattr(runner, "execute_cell", counting_execute_cell)
-    pruned = SweepRunner(settings=settings, prune_fraction=PRUNE_FRACTION).run(grid)
+    def recording_session(simulation, *args, **kwargs):
+        options = simulation.options
+        session_records.append((options.keep_request_records, options.keep_stage_records))
+        return open_session(simulation, *args, **kwargs)
 
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "execute_cell", counting_execute_cell)
+        patch.setattr(ServingSimulation, "session", recording_session)
+        pruned = SweepRunner(settings=_counted_settings(), prune_fraction=PRUNE_FRACTION).run(grid)
     survivors = [cell.key for cell in grid if not pruned.is_pruned(cell)]
+    return grid, survivors, simulated, requests, session_records
+
+
+def test_surrogate_prune_simulates_only_survivors(counted_prune):
+    """The prune simulates its 13 survivors once each, and nothing else."""
+    grid, survivors, simulated, requests, _ = counted_prune
     assert len(grid) == 49 and len(survivors) == 13
     assert simulated == collections.Counter(survivors)
     assert sum(requests) == 13 * COUNTED_REQUESTS == 5200
+
+
+def test_surrogate_prune_sessions_keep_no_records(counted_prune):
+    """Every session the prune opens keeps neither kind of record."""
+    _, survivors, _, _, session_records = counted_prune
+    assert session_records == [(False, False)] * len(survivors)
+
+
+def _records_left_for_the_collector() -> collections.Counter:
+    """``SimRequest`` and ``StageRecord`` counts a full collection finds.
+
+    The collection saves what it finds unreachable in ``gc.garbage``
+    instead of freeing it; the records are counted, then freed.
+    """
+    flags = gc.get_debug()
+    start = len(gc.garbage)
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return collections.Counter(
+            type(obj).__name__
+            for obj in gc.garbage[start:]
+            if isinstance(obj, (SimRequest, StageRecord))
+        )
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[start:]
+        gc.collect()
+
+
+def test_cells_and_tuning_replays_leave_no_records_for_the_collector():
+    """A sweep cell and the tuning replays free their records as they go."""
+    context = EvaluationContext(_counted_settings())
+    device = context.device("numa")
+    _, model = context.board_and_model("B2")
+    usage = context.usage_profile("B2")
+    stream = context.stream("B2")
+    matrix = context.performance_matrix("numa", "B2")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        runner.execute_cell(context, SweepCell.make("coserve-best", "numa", "B2"))
+        after_cell = _records_left_for_the_collector()
+        measure_throughput(
+            device, model, usage, stream,
+            gpu_expert_count=DEFAULT_GPU_EXPERT_COUNT["numa"], performance_matrix=matrix,
+        )
+        after_replay = _records_left_for_the_collector()
+        sweep_executor_configurations(
+            device, model, usage, stream, [(1, 1)], performance_matrix=matrix
+        )
+        after_sweep = _records_left_for_the_collector()
+    finally:
+        if enabled:
+            gc.enable()
+    assert after_cell == collections.Counter(), f"execute_cell left {dict(after_cell)}"
+    assert after_replay == collections.Counter(), f"measure_throughput left {dict(after_replay)}"
+    assert after_sweep == collections.Counter(), (
+        f"sweep_executor_configurations left {dict(after_sweep)}"
+    )

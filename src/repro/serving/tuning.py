@@ -11,12 +11,13 @@ representative sample of the workload:
 
 Both simply replay the sample through fully configured CoServe systems,
 which is exactly what the paper's offline phase does with its sample
-dataset.
+dataset.  A replay reads only aggregates, so its simulation keeps no
+request or stage records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.coe.model import CoEModel
@@ -27,6 +28,7 @@ from repro.core.profiler import OfflineProfiler
 from repro.hardware.device import Device
 from repro.serving.coserve import CoServeSystem
 from repro.serving.layout import DEFAULT_CPU_EXECUTORS, DEFAULT_GPU_EXECUTORS, usable_device_budget
+from repro.simulation.engine import SimulationOptions
 from repro.workload.generator import RequestStream
 
 
@@ -54,6 +56,13 @@ class TunedConfiguration:
     throughput_rps: float
 
 
+def _replay_options(options: Optional[SimulationOptions] = None) -> SimulationOptions:
+    """``options`` (default: the engine's) with both kinds of record off."""
+    return replace(
+        options or SimulationOptions(), keep_request_records=False, keep_stage_records=False
+    )
+
+
 def measure_throughput(
     device: Device,
     model: CoEModel,
@@ -65,7 +74,11 @@ def measure_throughput(
     performance_matrix: Optional[PerformanceMatrix] = None,
     **overrides,
 ) -> float:
-    """Throughput of CoServe on the sample with a given expert count."""
+    """Throughput of CoServe on the sample with a given expert count.
+
+    An ``options`` override is honoured except for its record fields.
+    """
+    overrides["options"] = _replay_options(overrides.get("options"))
     system = CoServeSystem(
         device=device,
         model=model,
@@ -144,6 +157,7 @@ def sweep_executor_configurations(
             cpu_executors=cpu_count,
             gpu_expert_count=gpu_expert_count,
             performance_matrix=performance_matrix,
+            options=_replay_options(),
             label=f"CoServe {gpu_count}G+{cpu_count}C",
         )
         result = system.serve(sample_stream)

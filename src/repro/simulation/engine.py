@@ -112,8 +112,9 @@ class SimulationOptions:
         result's ``requests``.  Only a caller that reads per-request
         latencies needs them (the surrogate's validation against
         simulated percentiles, for one): every figure reads aggregates,
-        and :func:`~repro.sweeps.runner.execute_cell` drops them for
-        every sweep cell.  Disable for large runs.
+        so :func:`~repro.sweeps.runner.execute_cell` and the tuning
+        replays of :mod:`repro.serving.tuning` build their simulations
+        without them.  Disable for large runs.
     share_pool_per_processor:
         Executors bound to the same processor share one model pool
         (they share the same physical memory).  Disable to give every

@@ -53,6 +53,7 @@ from concurrent import futures
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.serving.factory import build_system
+from repro.simulation.engine import SimulationOptions
 from repro.simulation.results import SimulationResult
 from repro.simulation.session import SimulationAborted
 from repro.simulation.slo import SLOMonitor
@@ -87,11 +88,14 @@ def execute_cell(
     """Run one sweep cell on an evaluation context.
 
     This is the single serving primitive behind every executor, and
-    the call for serving one cell ad hoc.  Per-request records are
-    dropped unless ``keep_requests`` — figures aggregate whole-run
-    metrics, dropping them keeps results cheap to pickle back from
+    the call for serving one cell ad hoc.  Its simulation keeps
+    per-request records only if ``keep_requests``, and per-stage
+    records only then or for an ``slo_metric="service"`` monitor,
+    which reads them; the rest of a cell's ``options`` override is
+    honoured.  Figures aggregate whole-run metrics, so records nobody
+    reads are never built, results stay cheap to pickle back from
     worker processes (local or remote), and the sweep cache refuses
-    results that carry them.  Executors always drop them.
+    results that carry requests.  Executors never keep them.
 
     Cells whose overrides declare ``slo_target_ms`` (optionally
     ``slo_percentile``, default 99, and ``slo_metric``, default
@@ -111,6 +115,11 @@ def execute_cell(
     num_requests = cell.fidelity
     slo = {key: value for key, value in cell.overrides if key in SLO_OVERRIDE_KEYS}
     slo_target_ms = slo.get("slo_target_ms")
+    overrides["options"] = dataclasses.replace(
+        overrides.get("options") or SimulationOptions(),
+        keep_request_records=keep_requests,
+        keep_stage_records=keep_requests or slo.get("slo_metric") == "service",
+    )
     device = context.device(cell.device)
     _, model = context.board_and_model(cell.task)
     system = build_system(
@@ -138,8 +147,6 @@ def execute_cell(
             result = session.run()
         except SimulationAborted:
             result = session.partial_result()
-    if not keep_requests and result.requests:
-        result = dataclasses.replace(result, requests=())
     return result
 
 

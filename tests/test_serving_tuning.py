@@ -4,12 +4,14 @@ import pytest
 
 from repro.core.memory import DecayWindowSearch
 from repro.serving import coserve
+from repro.serving.coserve import CoServeSystem
 from repro.serving.tuning import (
     measure_throughput,
     run_memory_allocation_search,
     sweep_executor_configurations,
     tune_configuration,
 )
+from repro.simulation.engine import SimulationOptions
 from repro.workload.generator import generate_request_stream
 
 
@@ -25,6 +27,17 @@ class TestMeasureThroughput:
             gpu_expert_count=10, performance_matrix=numa_matrix,
         )
         assert throughput > 0
+
+    def test_options_override_is_honoured(self, numa_device, small_model, small_usage, sample_stream, numa_matrix):
+        private = SimulationOptions(share_pool_per_processor=False)
+        setup = dict(gpu_expert_count=10, performance_matrix=numa_matrix)
+        replay = measure_throughput(
+            numa_device, small_model, small_usage, sample_stream, options=private, **setup
+        )
+        served = CoServeSystem(numa_device, small_model, small_usage, options=private, **setup)
+        assert replay == served.serve(sample_stream).throughput_rps
+        shared = measure_throughput(numa_device, small_model, small_usage, sample_stream, **setup)
+        assert replay != shared, "private pools must change this replay"
 
 
 class TestExecutorSweep:

@@ -27,6 +27,9 @@ from repro.experiments.base import (
 from repro.experiments.cli import collect_grid, main as cli_main, run_experiments
 from repro.metrics import MetricsObserver, TimelineObserver
 from repro.serving.factory import build_system
+from repro.simulation.engine import ServingSimulation, SimulationOptions
+from repro.simulation.session import SimulationAborted
+from repro.simulation.slo import SLOMonitor
 from repro.sweeps import (
     SerialExecutor,
     SweepCache,
@@ -165,6 +168,35 @@ def tiny_context():
     return EvaluationContext(TINY_SETTINGS)
 
 
+def _serve_via_session(context, cell, observers=()):
+    """Serve ``cell`` as ``execute_cell`` does, but on the options the
+    cell declares (records kept unless it says otherwise), with
+    ``observers`` attached; the result's requests are dropped."""
+    system = build_system(
+        cell.system,
+        context.device(cell.device),
+        context.board_and_model(cell.task)[1],
+        context.usage_profile(cell.task),
+        performance_matrix=context.performance_matrix(cell.device, cell.task),
+        **cell.system_overrides(),
+    )
+    overrides = cell.override_dict()
+    observers = list(observers)
+    if "slo_target_ms" in overrides:
+        monitor = SLOMonitor(
+            target_ms=overrides["slo_target_ms"],
+            percentile=overrides["slo_percentile"],
+            metric=overrides["slo_metric"],
+        )
+        observers.append(monitor)
+    session = system.session(context.stream(cell.task), observers=observers)
+    try:
+        result = session.run()
+    except SimulationAborted:
+        result = session.partial_result()
+    return dataclasses.replace(result, requests=())
+
+
 class TestSweepRunner:
     def test_runner_skips_cells_already_present(self, tiny_context):
         grid = SweepGrid.single(SweepCell.make("coserve-best", "numa", "A1"))
@@ -261,6 +293,65 @@ class TestSweepEarlyAbort:
                 assert results[cell] == serial[cell], f"{name} diverged on {cell.label()}"
             assert results[doomed].aborted, f"{name} lost the aborted flag"
             assert results[doomed].abort_reason == serial[doomed].abort_reason
+
+
+class TestCellRecords:
+    """A cell's simulation keeps only the records something reads, and
+    its row equals a records-kept serve of the same cell with its
+    requests dropped."""
+
+    PRIVATE_POOLS = SimulationOptions(share_pool_per_processor=False)
+
+    @pytest.mark.parametrize(
+        "overrides, keep_requests, expected",
+        [
+            ({}, False, (False, False, True)),
+            ({}, True, (True, True, True)),
+            ({"options": PRIVATE_POOLS}, False, (False, False, False)),
+            ({"slo_target_ms": 1e12, "slo_metric": "service"}, False, (False, True, True)),
+            ({"slo_target_ms": 1e12, "slo_metric": "end_to_end"}, False, (False, False, True)),
+        ],
+        ids=["plain", "keep-requests", "private-pools", "service-slo", "end-to-end-slo"],
+    )
+    def test_cell_keeps_only_the_records_something_reads(
+        self, tiny_context, monkeypatch, overrides, keep_requests, expected
+    ):
+        opened = []
+        open_session = ServingSimulation.session
+
+        def recording_session(simulation, *args, **kwargs):
+            options = simulation.options
+            opened.append(
+                (
+                    options.keep_request_records,
+                    options.keep_stage_records,
+                    options.share_pool_per_processor,
+                )
+            )
+            return open_session(simulation, *args, **kwargs)
+
+        monkeypatch.setattr(ServingSimulation, "session", recording_session)
+        cell = SweepCell.make("coserve", "numa", "A1", **overrides)
+        result = execute_cell(tiny_context, cell, keep_requests=keep_requests)
+        assert opened == [expected]
+        assert bool(result.requests) is keep_requests
+
+    def test_options_override_is_honoured(self, tiny_context):
+        cell = SweepCell.make("coserve-best", "numa", "A1", options=self.PRIVATE_POOLS)
+        result = execute_cell(tiny_context, cell)
+        assert result == _serve_via_session(tiny_context, cell)
+        shared = execute_cell(tiny_context, SweepCell.make("coserve-best", "numa", "A1"))
+        assert result != shared, "private pools must change this row"
+
+    @pytest.mark.parametrize("metric", ["service", "end_to_end"])
+    @pytest.mark.parametrize("target_ms, aborts", [(0.5, True), (1e12, False)])
+    def test_slo_cell_matches_a_records_kept_serve(self, tiny_context, metric, target_ms, aborts):
+        cell = SweepCell.make(
+            "coserve", "numa", "A1", slo_target_ms=target_ms, slo_percentile=50.0, slo_metric=metric
+        )
+        result = execute_cell(tiny_context, cell)
+        assert result.aborted is aborts
+        assert result == _serve_via_session(tiny_context, cell)
 
 
 class TestRunIter:
@@ -405,30 +496,13 @@ class TestObserverEquivalence:
     and the legacy ``run()`` produce identical results for every cell of
     every registered experiment grid."""
 
-    @staticmethod
-    def _serve_via_session(context, cell, observers=()):
-        device = context.device(cell.device)
-        _, model = context.board_and_model(cell.task)
-        system = build_system(
-            cell.system,
-            device,
-            model,
-            context.usage_profile(cell.task),
-            performance_matrix=context.performance_matrix(cell.device, cell.task),
-            **cell.override_dict(),
-        )
-        result = system.session(context.stream(cell.task), observers=observers).run()
-        if result.requests:
-            result = dataclasses.replace(result, requests=())
-        return result
-
     def test_every_registered_grid_is_observer_invariant(self, tiny_context):
         grid = collect_grid(sorted(EXPERIMENTS), TINY_SETTINGS)
         assert grid, "the registry must declare at least one sweep cell"
         for cell in grid:
             legacy = execute_cell(tiny_context, cell)
-            bare = self._serve_via_session(tiny_context, cell)
-            observed = self._serve_via_session(
+            bare = _serve_via_session(tiny_context, cell)
+            observed = _serve_via_session(
                 tiny_context, cell, observers=[TimelineObserver(), MetricsObserver()]
             )
             assert bare == legacy, f"zero-observer session diverged on {cell.label()}"

@@ -27,17 +27,52 @@ Usage::
     PYTHONPATH=src python tools/profile_engine.py --mode sweep --halving-rungs 2
 
 The profile prints to stdout; ``--output`` additionally dumps the raw
-stats for ``snakeviz``/``pstats`` post-processing.
+stats for ``snakeviz``/``pstats`` post-processing.  Below the elapsed
+line, every mode prints the cyclic garbage collector's collections per
+generation and the seconds they took (timed through ``gc.callbacks``):
+cProfile charges a collection to whichever call happened to trigger
+it, so its cost shows up in no row of the stats table.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
 import time
 from collections import deque
+
+
+class _CollectorClock:
+    """Counts the cyclic collector's runs per generation and times them."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.collections[info["generation"]] += 1
+            self.seconds += time.perf_counter() - self._started
+
+    def __enter__(self) -> "_CollectorClock":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        gc.callbacks.remove(self)
+
+    def __str__(self) -> str:
+        gen0, gen1, gen2 = self.collections
+        return (
+            f"garbage collector: {gen0} gen-0, {gen1} gen-1, {gen2} gen-2 "
+            f"collections in {self.seconds:.3f} s"
+        )
 
 
 def _build_case():
@@ -229,14 +264,16 @@ def main(argv=None) -> int:
             target = lambda: _run_preredesign(board, model, num_requests)
 
     profiler = cProfile.Profile()
-    start = time.perf_counter()
-    profiler.enable()
-    target()
-    profiler.disable()
-    elapsed = time.perf_counter() - start
+    with _CollectorClock() as collector:
+        start = time.perf_counter()
+        profiler.enable()
+        target()
+        profiler.disable()
+        elapsed = time.perf_counter() - start
 
     label = args.mode + (" (reference)" if args.mode == "generation" and args.reference else "")
-    print(f"{label}: {num_requests} requests in {elapsed:.2f} s (instrumented)\n")
+    print(f"{label}: {num_requests} requests in {elapsed:.2f} s (instrumented)")
+    print(f"{collector}\n")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.limit)
     if args.output:
