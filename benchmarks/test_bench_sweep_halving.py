@@ -21,6 +21,12 @@ faster; finalists shared by both pipelines must be byte-identical
 pins the final-rung rows byte-identical to an exhaustive run across all
 three executor backends (serial, process pool, distributed workers).
 
+Beside the timed floor, :func:`test_halving_simulates_only_its_finalists_at_full_fidelity`
+counts what each pipeline simulates on the same grid at
+:data:`COUNTED_REQUESTS` requests per cell.  The count does not depend
+on the machine, so it catches a ladder that pays for more
+full-fidelity work even when the wall-clock ratio is noisy.
+
 Measured numbers are recorded to ``BENCH_sweeps.json`` alongside the
 other sweep benchmarks.  ``COSERVE_BENCH_FULL_SCALE=1`` uses the
 paper's full request counts.
@@ -28,6 +34,7 @@ paper's full request counts.
 
 from __future__ import annotations
 
+import collections
 import os
 import pickle
 import time
@@ -42,6 +49,7 @@ from repro.sweeps import (
     SweepCell,
     SweepGrid,
     SweepRunner,
+    runner,
 )
 from repro.sweeps.worker import spawn_local_workers
 
@@ -55,6 +63,10 @@ MIN_HALVING_SPEEDUP = 1.5
 ONE_SHOT_PRUNE_FRACTION = 0.49
 HALVING_CONFIG = HalvingConfig(rungs=2, keep_fraction=0.51, min_requests=150)
 FINAL_TOP_K = 13
+
+#: Requests per full-fidelity cell of the deterministic count beside
+#: the timed floor.
+COUNTED_REQUESTS = 400
 
 
 def _full_scale() -> bool:
@@ -222,6 +234,57 @@ def test_halving_speedup_over_one_shot_prune():
         f"halving speedup regressed: {speedup:.2f}x < {MIN_HALVING_SPEEDUP}x "
         f"(one-shot {one_shot_elapsed:.2f}s, halving {halving_elapsed:.2f}s "
         f"at equal final top-{FINAL_TOP_K})"
+    )
+
+
+def _counted_settings() -> EvaluationSettings:
+    return EvaluationSettings(
+        full_scale=False,
+        reduced_requests=COUNTED_REQUESTS,
+        devices=("numa",),
+        task_names=("B2",),
+    )
+
+
+def test_halving_simulates_only_its_finalists_at_full_fidelity():
+    """Count the cells each pipeline simulates, and at how many requests.
+
+    One-shot simulates its 25 rung-0 survivors once each at full
+    fidelity.  Halving simulates the same 25 once each at the measured
+    rung's request count, then only its 13 finalists at full fidelity,
+    once each.  That difference in work is what the timed floor above
+    measures.
+    """
+    grid = _large_grid()
+    settings = _counted_settings()
+    counts = []
+    execute_cell = runner.execute_cell
+
+    def counting_execute_cell(context, cell, *args, **kwargs):
+        result = execute_cell(context, cell, *args, **kwargs)
+        counts[-1][cell.key, result.num_requests] += 1
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "execute_cell", counting_execute_cell)
+        counts.append(collections.Counter())
+        one_shot = SweepRunner(
+            settings=settings, prune_fraction=ONE_SHOT_PRUNE_FRACTION
+        ).run(grid)
+        counts.append(collections.Counter())
+        halved = HalvingRunner(settings=settings, config=HALVING_CONFIG).run(grid)
+    one_shot_simulated, halving_simulated = counts
+
+    survivors = [cell for cell in grid if not one_shot.is_pruned(cell)]
+    finalists = [cell for cell in grid if not halved.is_pruned(cell)]
+    measured = HALVING_CONFIG.min_requests
+    assert len(grid) == 49 and len(survivors) == 25 and len(finalists) == FINAL_TOP_K
+    assert one_shot_simulated == collections.Counter(
+        (cell.key, COUNTED_REQUESTS) for cell in survivors
+    )
+    assert halving_simulated == collections.Counter(
+        [(cell.at_fidelity(measured).key, measured) for cell in survivors]
+        + [(cell.key, COUNTED_REQUESTS) for cell in finalists]
     )
 
 

@@ -14,6 +14,10 @@ requests, for both materialisation modes:
 
 Both modes must clear ``MIN_GENERATION_SPEEDUP``; the measured numbers
 are recorded to ``BENCH_engine.json`` under ``workload_generation``.
+Beside that floor, a deterministic check counts the scalar
+``Router.resolve`` fallbacks each vectorised mode makes on the same
+stream: none of its categories has two uncertain continuations, so
+there must be none.
 The workload shape matches the engine-scale benchmark so the numbers
 compose: the generation seconds here are the generation share of that
 benchmark's end-to-end pipelines.
@@ -28,6 +32,7 @@ from collections import deque
 import pytest
 
 from recorder import record_bench_result
+from repro.coe.router import Router
 from repro.workload.circuit_board import build_inspection_model, make_board
 from repro.workload.generator import (
     RequestStream,
@@ -181,3 +186,20 @@ def test_workload_generation_throughput(generation_case):
         f"eager generation speedup regressed: {eager_speedup:.2f}x < "
         f"{MIN_GENERATION_SPEEDUP}x (reference {ref_eager:.3f}s, vectorised {vec_eager:.3f}s)"
     )
+
+
+@pytest.mark.parametrize("pipeline", [_lazy_vectorised, _eager_vectorised], ids=["lazy", "eager"])
+def test_vectorised_generation_never_falls_back_to_scalar_resolve(
+    generation_case, monkeypatch, pipeline
+):
+    board, model = generation_case
+    resolve = Router.resolve
+    calls = []
+
+    def counted_resolve(self, category, rng=None):
+        calls.append(category)
+        return resolve(self, category, rng)
+
+    monkeypatch.setattr(Router, "resolve", counted_resolve)
+    pipeline(board, model)
+    assert calls == [], f"{len(calls)} of {NUM_REQUESTS} specs took the scalar fallback"

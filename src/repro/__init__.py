@@ -18,73 +18,6 @@ Collaboration-of-Experts (CoE) Model Inference with Limited Memory"
   (``repro.serving``),
 * metric collection (``repro.metrics``) and the per-figure experiment
   harness (``repro.experiments``).
-
-The most commonly used entry points are re-exported lazily at the top
-level, so ``import repro`` stays cheap and subpackages can be imported
-independently.
 """
 
-from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
 __version__ = "1.0.0"
-
-#: Lazily re-exported names -> (module, attribute).
-_LAZY_EXPORTS = {
-    "Device": ("repro.hardware", "Device"),
-    "DeviceArchitecture": ("repro.hardware", "DeviceArchitecture"),
-    "ProcessorKind": ("repro.hardware", "ProcessorKind"),
-    "MemoryTier": ("repro.hardware", "MemoryTier"),
-    "make_numa_device": ("repro.hardware.presets", "make_numa_device"),
-    "make_uma_device": ("repro.hardware.presets", "make_uma_device"),
-    "Expert": ("repro.experts", "Expert"),
-    "ExpertArchitecture": ("repro.experts", "ExpertArchitecture"),
-    "ExpertRole": ("repro.experts", "ExpertRole"),
-    "CoEModel": ("repro.coe", "CoEModel"),
-    "Router": ("repro.coe", "Router"),
-    "RoutingRule": ("repro.coe", "RoutingRule"),
-    "CircuitBoard": ("repro.workload", "CircuitBoard"),
-    "Task": ("repro.workload", "Task"),
-    "RequestStream": ("repro.workload", "RequestStream"),
-    "standard_tasks": ("repro.workload", "standard_tasks"),
-    "ServingSystem": ("repro.serving", "ServingSystem"),
-    "ServingResult": ("repro.serving", "ServingResult"),
-    "build_system": ("repro.serving", "build_system"),
-    "CoServeSystem": ("repro.serving", "CoServeSystem"),
-    "SambaCoESystem": ("repro.serving", "SambaCoESystem"),
-}
-
-__all__ = ["__version__"] + sorted(_LAZY_EXPORTS)
-
-
-def __getattr__(name: str):
-    """Resolve lazily exported names on first access."""
-    if name in _LAZY_EXPORTS:
-        import importlib
-
-        module_name, attribute = _LAZY_EXPORTS[name]
-        module = importlib.import_module(module_name)
-        value = getattr(module, attribute)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module 'repro' has no attribute '{name}'")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
-
-
-if TYPE_CHECKING:  # pragma: no cover - static typing aid only
-    from repro.hardware import Device, DeviceArchitecture, MemoryTier, ProcessorKind
-    from repro.hardware.presets import make_numa_device, make_uma_device
-    from repro.experts import Expert, ExpertArchitecture, ExpertRole
-    from repro.coe import CoEModel, Router, RoutingRule
-    from repro.workload import CircuitBoard, RequestStream, Task, standard_tasks
-    from repro.serving import (
-        CoServeSystem,
-        SambaCoESystem,
-        ServingResult,
-        ServingSystem,
-        build_system,
-    )

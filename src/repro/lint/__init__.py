@@ -13,18 +13,17 @@ discipline.  This package turns them into machine-checked rules:
   :mod:`repro.lint.checkers` and the rule catalogue in
   ``docs/lint.md``;
 - intentional exceptions are annotated inline
-  (``# repro-lint: disable=RL001``) or carried in a committed baseline
-  file (:mod:`repro.lint.baseline`);
+  (``# repro-lint: disable=RL001``) next to the code they excuse;
 - the ``coserve-lint`` console script (:mod:`repro.lint.cli`) runs the
   analysis with ``--format text|json`` and exits non-zero on any
-  non-baselined finding — CI and ``tests/test_lint.py`` both gate on it.
+  finding no inline pragma covers — CI and ``tests/test_lint.py`` both
+  gate on it.
 
 The package imports nothing from the rest of ``repro`` (it is a tool
 *about* the codebase, not part of it) and is itself subject to every
 rule it enforces.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.core import (
     Checker,
     FileContext,
@@ -37,7 +36,6 @@ from repro.lint.core import (
 from repro.lint.diagnostics import Diagnostic
 
 __all__ = [
-    "Baseline",
     "Checker",
     "Diagnostic",
     "FileContext",

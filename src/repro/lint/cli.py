@@ -2,15 +2,12 @@
 
 Usage::
 
-    coserve-lint [PATHS ...] [--format text|json] [--baseline FILE]
-                 [--write-baseline] [--rules CODE[,CODE...]] [--list-rules]
+    coserve-lint [PATHS ...] [--format text|json] [--rules CODE[,CODE...]]
+                 [--list-rules]
 
-Paths default to ``src``; the baseline defaults to
-``lint-baseline.json`` in the working directory (missing file = empty
-baseline).  Exit status: 0 clean, 1 live findings (or analysis
-errors), 2 usage errors.  ``--write-baseline`` accepts the current
-findings into the baseline file and exits 0 — the escape hatch for
-landing a new rule against existing code.
+Paths default to ``src``.  Exit status: 0 clean, 1 findings no inline
+``# repro-lint: disable=`` pragma covers (or analysis errors), 2 usage
+errors.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.lint.baseline import Baseline
 from repro.lint.core import LintReport, LintRunner, default_checkers
 from repro.lint.diagnostics import RULE_CATALOGUE
 
@@ -41,19 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline", default="lint-baseline.json", metavar="FILE",
-        help="baseline file of accepted findings (default: lint-baseline.json; "
-        "a missing file means an empty baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file entirely",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept the current findings into the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--rules", default=None, metavar="CODES",
         help="comma-separated rule codes or names to run (default: all)",
     )
@@ -69,10 +52,8 @@ def _print_text(report: LintReport) -> None:
         print(diagnostic.format_text())
     for error in report.errors:
         print(f"error: {error}", file=sys.stderr)
-    for path, rule, message in report.stale_baseline:
-        print(f"note: stale baseline entry {rule} {path}: {message}", file=sys.stderr)
     summary = (
-        f"{len(report.diagnostics)} finding(s), {len(report.baselined)} baselined, "
+        f"{len(report.diagnostics)} finding(s), "
         f"{report.suppressed} suppressed across {report.files_checked} file(s)"
     )
     print(summary if report.diagnostics else f"lint OK: {summary}")
@@ -94,26 +75,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    baseline = Baseline()
-    if not options.no_baseline and not options.write_baseline:
-        try:
-            baseline = Baseline.from_file(options.baseline)
-        except FileNotFoundError:
-            baseline = Baseline()
-        except ValueError as exc:
-            parser.error(str(exc))
-
-    runner = LintRunner(checkers=checkers, baseline=baseline)
-    report = runner.run(options.paths)
-
-    if options.write_baseline:
-        Baseline.from_diagnostics(report.diagnostics).save(options.baseline)
-        print(
-            f"wrote {len(report.diagnostics)} finding(s) to {options.baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
+    report = LintRunner(checkers=checkers).run(options.paths)
     if options.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:

@@ -4,8 +4,8 @@ A :class:`LintRunner` expands its input paths into Python files, parses
 each one once into a :class:`FileContext` (AST + module identity +
 inline suppressions), hands the context to every registered
 :class:`Checker` whose :meth:`Checker.applies_to` accepts it, and folds
-the resulting diagnostics against the inline suppressions and the
-committed baseline into a :class:`LintReport`.
+the resulting diagnostics against the inline suppressions into a
+:class:`LintReport`.
 
 Checkers self-register via the :func:`register` decorator; importing
 :mod:`repro.lint.checkers` pulls in the built-in set
@@ -18,9 +18,8 @@ import ast
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Type
 
-from repro.lint.baseline import Baseline
 from repro.lint.diagnostics import RULE_CATALOGUE, Diagnostic
 
 #: Inline suppression pragmas.  ``disable`` acts on its own line;
@@ -194,17 +193,12 @@ def default_checkers(rules: Optional[Iterable[str]] = None) -> List[Checker]:
 class LintReport:
     """Outcome of one analyzer run.
 
-    ``diagnostics`` are the live findings (not suppressed, not
-    baselined) — the run fails iff this list is non-empty.
-    ``baselined`` were matched by the baseline, ``suppressed`` counts
-    inline-pragma hits, and ``stale_baseline`` lists baseline entries
-    that matched nothing (fixed violations whose entry should be
-    removed — reported, never fatal).
+    ``diagnostics`` are the findings no inline pragma covers — the run
+    fails iff this list is non-empty — and ``suppressed`` counts the
+    inline-pragma hits.
     """
 
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    baselined: List[Diagnostic] = field(default_factory=list)
-    stale_baseline: List[Tuple[str, str, str]] = field(default_factory=list)
     suppressed: int = 0
     files_checked: int = 0
     errors: List[str] = field(default_factory=list)
@@ -217,16 +211,11 @@ class LintReport:
     def to_json(self) -> Dict[str, object]:
         """The machine-readable report (schema documented in docs/lint.md)."""
         return {
-            "version": 1,
+            "version": 2,
             "ok": self.ok,
             "files_checked": self.files_checked,
             "suppressed": self.suppressed,
             "diagnostics": [d.to_json() for d in self.diagnostics],
-            "baselined": [d.to_json() for d in self.baselined],
-            "stale_baseline": [
-                {"path": path, "rule": rule, "message": message}
-                for path, rule, message in self.stale_baseline
-            ],
             "errors": list(self.errors),
         }
 
@@ -251,23 +240,14 @@ class LintRunner:
     ----------
     checkers:
         Checker instances; defaults to every registered rule.
-    baseline:
-        A :class:`~repro.lint.baseline.Baseline` of accepted historical
-        findings; defaults to an empty one (every finding is live).
     """
 
-    def __init__(
-        self,
-        checkers: Optional[Sequence[Checker]] = None,
-        baseline: Optional[Baseline] = None,
-    ) -> None:
+    def __init__(self, checkers: Optional[Sequence[Checker]] = None) -> None:
         self.checkers = list(checkers) if checkers is not None else default_checkers()
-        self.baseline = baseline if baseline is not None else Baseline()
 
     def run(self, paths: Sequence[str]) -> LintReport:
         """Analyze every Python file under ``paths`` into a report."""
         report = LintReport()
-        matcher = self.baseline.matcher()
         for path in iter_python_files(paths):
             report.files_checked += 1
             try:
@@ -282,11 +262,7 @@ class LintRunner:
                 for diagnostic in checker.check(ctx):
                     if ctx.is_suppressed(diagnostic):
                         report.suppressed += 1
-                    elif matcher.matches(diagnostic):
-                        report.baselined.append(diagnostic)
                     else:
                         report.diagnostics.append(diagnostic)
-        report.stale_baseline = matcher.stale()
         report.diagnostics.sort(key=lambda d: (d.path, d.line, d.rule))
-        report.baselined.sort(key=lambda d: (d.path, d.line, d.rule))
         return report

@@ -2,16 +2,16 @@
 
 Every finding the analyzer produces is a :class:`Diagnostic` — one rule
 violation at one source location.  Rule codes are stable identifiers
-(``RL001``…): they appear in output, in inline suppressions
-(``# repro-lint: disable=RL001``) and in baseline entries, so renaming a
-code is a breaking change.  :data:`RULE_CATALOGUE` maps each code to its
-one-line summary; ``docs/lint.md`` carries the full rationale.
+(``RL001``…): they appear in output and in inline suppressions
+(``# repro-lint: disable=RL001``), so renaming a code is a breaking
+change.  :data:`RULE_CATALOGUE` maps each code to its one-line summary;
+``docs/lint.md`` carries the full rationale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 #: Stable rule codes, one per built-in checker.  The catalogue is the
 #: single source of truth for which codes exist; ``docs/lint.md``
@@ -37,15 +37,6 @@ class Diagnostic:
     column: int
     rule: str
     message: str
-
-    @property
-    def key(self) -> Tuple[str, str, str]:
-        """Location-insensitive identity used for baseline matching.
-
-        Line and column are excluded so unrelated edits that shift a
-        baselined finding do not resurrect it.
-        """
-        return (self.path, self.rule, self.message)
 
     def format_text(self) -> str:
         """``path:line:col: CODE message`` — the text output form."""

@@ -14,9 +14,8 @@ run: every serving system builds fresh policies per simulation.
 from __future__ import annotations
 
 import abc
-import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Callable, List, Mapping, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, AbstractSet, List, Mapping, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.model_pool import ModelPool
@@ -61,54 +60,6 @@ class EvictionContext:
         blocked: Set[str] = set(self.protected_expert_ids)
         blocked.add(self.incoming_expert_id)
         return tuple(e for e in sorted(self.resident_bytes) if e not in blocked)
-
-
-def select_victims(
-    candidates: Sequence[str],
-    sort_key: Callable[[str], object],
-    bytes_to_free: int,
-    resident_bytes: Mapping[str, int],
-) -> List[str]:
-    """Order eviction candidates, stopping once enough bytes are covered.
-
-    Equivalent to ``sorted(candidates, key=sort_key)`` truncated after
-    the cumulative candidate sizes reach ``bytes_to_free`` — the prefix
-    the simulator would actually evict.  Small evictions (the common
-    case: one incoming expert displaces one or two residents) use
-    ``heapq.nsmallest`` partial selection instead of sorting every
-    resident, growing the selection geometrically until the freed bytes
-    suffice.  ``sort_key`` must induce a total order (every policy
-    breaks ties on the expert id), so the partial selection returns
-    exactly the same prefix as the full sort.
-    """
-    if bytes_to_free <= 0 or not candidates:
-        return []
-    # Decorate once: every selection round compares C-level tuples
-    # instead of re-invoking the Python key per candidate per round
-    # (the key is unique — policies tie-break on the expert id — so the
-    # decorated order is exactly the keyed order).
-    decorated = [(sort_key(expert_id), expert_id) for expert_id in candidates]
-    if not decorated:  # candidates may be any iterable, even an empty one
-        return []
-    # Fast path: the single coldest candidate usually covers the bytes
-    # (one incoming expert displaces roughly one resident).
-    _, first_id = min(decorated)
-    if resident_bytes.get(first_id, 0) >= bytes_to_free:
-        return [first_id]
-    total = len(decorated)
-    k = min(total, 8)
-    while True:
-        selected = heapq.nsmallest(k, decorated)
-        covered = 0
-        for index, (_, expert_id) in enumerate(selected):
-            covered += resident_bytes.get(expert_id, 0)
-            if covered >= bytes_to_free:
-                return [expert_id for _, expert_id in selected[: index + 1]]
-        if k >= total:
-            # Even evicting everything cannot cover the request; return
-            # the full order and let the simulator report the failure.
-            return [expert_id for _, expert_id in selected]
-        k = min(total, k * 4)
 
 
 class EvictionPolicy(abc.ABC):

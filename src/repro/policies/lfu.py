@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.policies.base import EvictionContext, EvictionPolicy, select_victims
+from repro.policies.base import EvictionContext, EvictionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.model_pool import ModelPool
@@ -37,10 +37,22 @@ class LFUPolicy(EvictionPolicy):
         del self._load_order[(pool.name, expert_id)]
 
     def victim_order(self, context: EvictionContext) -> List[str]:
+        """Fewest accesses first, then earliest load, then expert id.
+
+        Cut once the victims cover ``context.bytes_to_free``; when every
+        evictable resident together falls short, all are returned.
+        """
+
         def sort_key(expert_id: str):
             key = (context.pool_name, expert_id)
             return (self._access_counts[key], self._load_order[key], expert_id)
 
-        return select_victims(
-            context.evictable(), sort_key, context.bytes_to_free, context.resident_bytes
-        )
+        sizes = context.resident_bytes
+        victims: List[str] = []
+        covered = 0
+        for expert_id in sorted(context.evictable(), key=sort_key):
+            if covered >= context.bytes_to_free:
+                break
+            victims.append(expert_id)
+            covered += sizes[expert_id]
+        return victims

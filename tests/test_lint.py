@@ -5,13 +5,12 @@ Three layers of coverage:
 - **Registry and repo health** — every catalogued rule has a live
   checker (removing one fails here), the declared layer map matches the
   actual package list, the observer-hook list matches ``SimObserver``,
-  and the tree itself lints clean against the committed baseline.
+  and the tree itself lints clean.
 - **Per-rule fixtures** — for each rule a seeded positive snippet that
   must be detected, a negative snippet that must not be, and scoping
   checks.  If a checker stops seeing its seeded violation, these fail.
-- **Machinery** — inline suppressions, baseline round-trip (write →
-  load → match → stale reporting), and the CLI's JSON schema and exit
-  codes.
+- **Machinery** — inline suppressions, and the CLI's JSON schema and
+  exit codes.
 """
 
 import json
@@ -23,7 +22,6 @@ import textwrap
 import pytest
 
 from repro.lint import (
-    Baseline,
     FileContext,
     LintRunner,
     default_checkers,
@@ -38,7 +36,6 @@ from repro.lint.layers import ALLOWED_IMPORTS, allowed_for
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
-BASELINE_PATH = os.path.join(REPO_ROOT, "lint-baseline.json")
 
 
 def run_rule(code, path, source):
@@ -110,17 +107,11 @@ class TestDeclarationSync:
 
 
 class TestRepoIsClean:
-    def test_src_lints_clean_against_committed_baseline(self):
-        report = LintRunner(baseline=Baseline.from_file(BASELINE_PATH)).run([SRC])
+    def test_src_lints_clean(self):
+        report = LintRunner().run([SRC])
         formatted = "\n".join(d.format_text() for d in report.diagnostics)
         assert report.ok, f"live lint findings:\n{formatted}"
-        assert not report.stale_baseline
         assert report.files_checked > 100
-
-    def test_committed_baseline_is_empty(self):
-        # Project policy: deliberate exceptions live inline next to the
-        # code, not in the baseline (docs/lint.md).
-        assert len(Baseline.from_file(BASELINE_PATH)) == 0
 
 
 class TestLayeringRule:
@@ -546,7 +537,7 @@ def write_fixture(tmp_path, source):
     return target
 
 
-class TestSuppressionAndBaseline:
+class TestSuppression:
     def test_inline_suppression_silences_the_line(self, tmp_path):
         target = write_fixture(
             tmp_path,
@@ -570,37 +561,6 @@ class TestSuppressionAndBaseline:
         report = LintRunner().run([str(target)])
         assert report.ok and report.suppressed == 2
 
-    def test_baseline_round_trip(self, tmp_path):
-        target = write_fixture(tmp_path, VIOLATION)
-        first = LintRunner().run([str(target)])
-        assert len(first.diagnostics) == 1 and not first.ok
-
-        baseline_file = tmp_path / "baseline.json"
-        Baseline.from_diagnostics(first.diagnostics).save(str(baseline_file))
-
-        reloaded = Baseline.from_file(str(baseline_file))
-        assert len(reloaded) == 1
-        second = LintRunner(baseline=reloaded).run([str(target)])
-        assert second.ok
-        assert len(second.baselined) == 1 and not second.stale_baseline
-
-    def test_new_instances_of_baselined_violation_still_fail(self, tmp_path):
-        target = write_fixture(tmp_path, VIOLATION)
-        baseline = Baseline.from_diagnostics(LintRunner().run([str(target)]).diagnostics)
-        # A second identical violation exceeds the baseline's budget.
-        target.write_text(target.read_text() + "MORE = random.random()\n")
-        report = LintRunner(baseline=baseline).run([str(target)])
-        assert len(report.baselined) == 1
-        assert len(report.diagnostics) == 1 and not report.ok
-
-    def test_fixed_violation_reports_stale_baseline_entry(self, tmp_path):
-        target = write_fixture(tmp_path, VIOLATION)
-        baseline = Baseline.from_diagnostics(LintRunner().run([str(target)]).diagnostics)
-        target.write_text('"""Fixture."""\n')
-        report = LintRunner(baseline=baseline).run([str(target)])
-        assert report.ok  # stale entries are reported, never fatal
-        assert len(report.stale_baseline) == 1
-
     def test_syntax_error_is_an_error_not_a_crash(self, tmp_path):
         target = write_fixture(tmp_path, "def broken(:\n")
         report = LintRunner().run([str(target)])
@@ -610,36 +570,26 @@ class TestSuppressionAndBaseline:
 class TestCli:
     def test_json_report_schema(self, tmp_path, capsys):
         target = write_fixture(tmp_path, VIOLATION)
-        status = lint_main([str(target), "--no-baseline", "--format", "json"])
+        status = lint_main([str(target), "--format", "json"])
         document = json.loads(capsys.readouterr().out)
         assert status == 1
         assert set(document) == {
-            "version", "ok", "files_checked", "suppressed",
-            "diagnostics", "baselined", "stale_baseline", "errors",
+            "version", "ok", "files_checked", "suppressed", "diagnostics", "errors",
         }
-        assert document["version"] == 1 and document["ok"] is False
+        assert document["version"] == 2 and document["ok"] is False
         (diagnostic,) = document["diagnostics"]
         assert set(diagnostic) == {"path", "line", "column", "rule", "message"}
         assert diagnostic["rule"] == "RL002"
 
     def test_clean_run_exits_zero(self, tmp_path, capsys):
         target = write_fixture(tmp_path, '"""Fixture."""\n')
-        status = lint_main([str(target), "--no-baseline"])
+        status = lint_main([str(target)])
         assert status == 0
         assert "lint OK" in capsys.readouterr().out
 
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        target = write_fixture(tmp_path, VIOLATION)
-        baseline_file = tmp_path / "baseline.json"
-        assert lint_main([str(target), "--baseline", str(baseline_file),
-                          "--write-baseline"]) == 0
-        capsys.readouterr()
-        assert lint_main([str(target), "--baseline", str(baseline_file)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
     def test_rules_filter(self, tmp_path, capsys):
         target = write_fixture(tmp_path, VIOLATION)
-        status = lint_main([str(target), "--no-baseline", "--rules", "RL003"])
+        status = lint_main([str(target), "--rules", "RL003"])
         capsys.readouterr()
         assert status == 0  # the RL002 violation is invisible to RL003
 
@@ -653,8 +603,7 @@ class TestCli:
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
         completed = subprocess.run(
-            [sys.executable, "-m", "repro.lint.cli", SRC,
-             "--baseline", BASELINE_PATH],
+            [sys.executable, "-m", "repro.lint.cli", SRC],
             capture_output=True, text=True, env=env, cwd=REPO_ROOT,
         )
         assert completed.returncode == 0, completed.stdout + completed.stderr

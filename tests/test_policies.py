@@ -12,7 +12,6 @@ import pytest
 from repro.hardware.processor import ProcessorKind
 from repro.hardware.units import GB
 from repro.policies import EvictionContext, FIFOPolicy, LFUPolicy, LRUPolicy, RandomPolicy
-from repro.policies.base import select_victims
 from repro.scheduling.fcfs import FCFSScheduling
 from repro.simulation.engine import ServingSimulation
 from repro.simulation.executor import ExecutorConfig
@@ -196,7 +195,12 @@ class TestPartialSelection:
         context = dataclasses.replace(make_context(pool), bytes_to_free=0)
         assert policy.victim_order(context) == []
 
-    def test_select_victims_covers_requested_bytes(self):
-        sizes = {f"e{i}": 10 for i in range(30)}
-        order = select_victims(sorted(sizes), lambda e: e, 95, sizes)
-        assert order == sorted(sizes)[:10]
+    @pytest.mark.parametrize("policy_class", [LRUPolicy, LFUPolicy, FIFOPolicy])
+    def test_cut_counts_only_evictable_residents(self, policy_class):
+        # "a" and "b" come first in every order here, but the incoming
+        # and the protected expert free nothing: the cut covers the two
+        # bytes from the residents after them.
+        policy = policy_class()
+        pool = subscribed_pool(policy, ["a", "b", "c", "d", "e"], name="p")
+        context = make_context(pool, incoming="a", protected={"b"})
+        assert policy.victim_order(dataclasses.replace(context, bytes_to_free=2)) == ["c", "d"]
