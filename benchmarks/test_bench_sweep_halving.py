@@ -288,10 +288,6 @@ def test_halving_simulates_only_its_finalists_at_full_fidelity():
     )
 
 
-@pytest.mark.skipif(
-    _usable_cores() < 3,
-    reason="backend identity check needs >= 3 usable cores for the worker pool",
-)
 def test_final_rows_identical_across_backends():
     """Final-rung rows match an exhaustive run on every executor backend.
 

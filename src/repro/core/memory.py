@@ -19,7 +19,7 @@ Two strategies are provided, matching the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -167,6 +167,32 @@ class DecayWindowSearch:
         k, b = np.polyfit(xs, ys, 1)
         return float(k * (len(history) + 1) + b)
 
+    def slide(self, max_expert_count: int, min_expert_count: int = 1) -> Iterator[Tuple[int, int]]:
+        """The windows the search measures, as ``(lower bound, expert count)``.
+
+        Each window's upper bound, rounded and clamped to
+        ``[min_expert_count, max_expert_count]``, is the count measured.
+        The slide ends at the memory limit or when the decayed window
+        collapses onto the previous count.  :meth:`search` may stop
+        earlier, on a deviation from the trend, but first tests one on
+        its ``min_fit_points + 1``-th measurement: the slide's first
+        ``min_fit_points + 1`` windows are always measured.
+        """
+        lower = 0.0
+        size = float(self.initial_window)
+        previous: Optional[int] = None
+        while True:
+            upper = lower + size
+            count = max(min_expert_count, min(int(round(upper)), max_expert_count))
+            if previous is not None and count <= previous:
+                return
+            yield int(round(lower)), count
+            if count >= max_expert_count:
+                return
+            previous = count
+            lower = upper
+            size *= self.decay_factor
+
     def search(
         self,
         throughput_fn: Callable[[int], float],
@@ -189,25 +215,16 @@ class DecayWindowSearch:
         if max_expert_count < min_expert_count:
             raise ValueError("max_expert_count must be >= min_expert_count")
 
-        lower = 0.0
-        size = float(self.initial_window)
         counts: List[int] = []
         throughputs: List[float] = []
         window_bounds: List[Tuple[int, int]] = []
         linear_error = 0.0
 
-        while True:
-            upper = lower + size
-            count = int(round(upper))
-            count = max(min_expert_count, min(count, max_expert_count))
-            if counts and count <= counts[-1]:
-                # The decayed window has collapsed onto the previous
-                # measurement (or the memory limit); stop sliding.
-                break
+        for lower, count in self.slide(max_expert_count, min_expert_count):
             throughput = float(throughput_fn(count))
             counts.append(count)
             throughputs.append(throughput)
-            window_bounds.append((int(round(lower)), count))
+            window_bounds.append((lower, count))
 
             if len(throughputs) > self.min_fit_points:
                 predicted = self._fit_and_predict(throughputs)
@@ -216,10 +233,6 @@ class DecayWindowSearch:
                     if deviation > self.error_margin:
                         linear_error = deviation
                         break
-            if count >= max_expert_count:
-                break
-            lower = upper
-            size *= self.decay_factor
 
         window_lower, window_upper = window_bounds[-1]
         window_lower = max(min_expert_count, window_lower)

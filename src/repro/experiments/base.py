@@ -6,7 +6,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.coe.model import CoEModel
 from repro.coe.probability import UsageProfile
@@ -19,6 +19,9 @@ from repro.serving.base import ServingSystem
 from repro.workload.circuit_board import CircuitBoard
 from repro.workload.generator import RequestStream
 from repro.workload.tasks import Task, task_by_name
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sweeps.spec import SweepCell
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,7 @@ class EvaluationContext:
         self._matrices: Dict[Tuple[str, str], PerformanceMatrix] = {}
         self._task_data: Dict[str, Tuple[CircuitBoard, CoEModel]] = {}
         self._streams: Dict[Tuple[str, int], RequestStream] = {}
+        self._samples: Dict[Tuple[str, int], RequestStream] = {}
         self._usage: Dict[Tuple[str, int], UsageProfile] = {}
 
     # ------------------------------------------------------------------
@@ -163,6 +167,33 @@ class EvaluationContext:
             self._usage[key] = ServingSystem.usage_profile_from_stream(model, self.stream(task_name, count))
         return self._usage[key]
 
+    def sample_stream(self, task_name: str, size: int) -> RequestStream:
+        """The task's offline sample of ``size`` requests (§4.4–4.5).
+
+        ``Task.sample_stream`` keeps the task's own seed, whatever the
+        settings' ``seed``.
+        """
+        key = (task_name, size)
+        if key not in self._samples:
+            board, model = self.board_and_model(task_name)
+            self._samples[key] = self.task(task_name).sample_stream(size, board=board, model=model)
+        return self._samples[key]
+
+    def cell_workload(self, cell: "SweepCell") -> Tuple[RequestStream, UsageProfile]:
+        """The request stream a sweep cell serves and its system's usage profile.
+
+        A sample cell replays the task's offline sample with the usage
+        profile of the deployment's own stream, as the offline tuning
+        searches do; any other cell serves its fidelity's stream with
+        that stream's profile.  Executing a cell and describing it to
+        the surrogate both read this one choice.
+        """
+        sample_size = cell.sample_size
+        if sample_size is not None:
+            return self.sample_stream(cell.task, sample_size), self.usage_profile(cell.task)
+        count = cell.fidelity
+        return self.stream(cell.task, count), self.usage_profile(cell.task, count)
+
     def performance_matrix(self, architecture: str, task_name: str) -> PerformanceMatrix:
         key = (architecture, task_name)
         if key not in self._matrices:
@@ -187,4 +218,11 @@ ABLATION_SYSTEMS: Tuple[str, ...] = (
     "coserve-em",
     "coserve-em-ra",
     "coserve",
+)
+
+#: The offline-phase measurements of Figures 17 and 18: Measurement A
+#: uses board A, Measurement B uses board B (§5.3).
+TUNING_MEASUREMENTS: Tuple[Tuple[str, str], ...] = (
+    ("Measurement A", "A1"),
+    ("Measurement B", "B1"),
 )

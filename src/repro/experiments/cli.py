@@ -50,6 +50,7 @@ whichever execution backend ran the sweep.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -234,9 +235,24 @@ def render_result(result: ExperimentResult, output_format: str) -> str:
     return result.to_text()
 
 
-def collect_grid(names: Sequence[str], settings: EvaluationSettings) -> SweepGrid:
-    """Union (and thereby deduplicate) the grids of the named experiments."""
-    return SweepGrid.union(*(EXPERIMENT_GRIDS[name](settings) for name in names))
+def collect_grid(
+    names: Sequence[str],
+    settings: EvaluationSettings,
+    experiment_kwargs: Optional[Mapping[str, Mapping[str, object]]] = None,
+) -> SweepGrid:
+    """Union (and thereby deduplicate) the grids of the named experiments.
+
+    Each experiment's ``experiment_kwargs`` that its grid function also
+    takes (Figure 17's ``candidates``, the tuning figures'
+    ``sample_size``) shape its grid as they shape its rows.
+    """
+    grids = []
+    for name in names:
+        grid_fn = EXPERIMENT_GRIDS[name]
+        accepted = inspect.signature(grid_fn).parameters
+        kwargs = (experiment_kwargs or {}).get(name, {})
+        grids.append(grid_fn(settings, **{k: v for k, v in kwargs.items() if k in accepted}))
+    return SweepGrid.union(*grids)
 
 
 def run_experiments(
@@ -261,7 +277,9 @@ def run_experiments(
     byte-identical whichever backend executed the cells.
     ``experiment_kwargs`` optionally forwards extra keyword arguments to
     individual run functions (e.g. a smaller ``sample_size`` for the
-    offline-tuning figures).  ``cache_dir`` backs the sweep with an
+    offline-tuning figures), and to their grid functions where those
+    take them, so the sweep runs the cells the figures read.
+    ``cache_dir`` backs the sweep with an
     on-disk cell cache; ``progress`` streams live cell/row counts to
     stderr via the runner's ``run_iter``.  ``plan`` (a
     :class:`~repro.sweeps.halving.HalvingConfig`) has the queueing
@@ -273,7 +291,7 @@ def run_experiments(
     :attr:`~repro.sweeps.results.SweepResults.drift_report` there.
     """
     context = EvaluationContext(settings)
-    grid = collect_grid(names, settings)
+    grid = collect_grid(names, settings, experiment_kwargs)
     cache = SweepCache(cache_dir, settings) if cache_dir else None
     # jobs is forwarded alongside hosts so a conflicting jobs>1 raises the
     # runner's mutual-exclusion error instead of being silently dropped,

@@ -4,9 +4,18 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.experiments.base import EvaluationContext, EvaluationSettings, ExperimentResult
-from repro.serving.tuning import sweep_executor_configurations
-from repro.sweeps import SweepGrid, SweepResults
+from repro.experiments.base import (
+    TUNING_MEASUREMENTS,
+    EvaluationContext,
+    EvaluationSettings,
+    ExperimentResult,
+)
+from repro.serving.tuning import ExecutorSweepPoint
+
+# The in-process replay stays bound here for perfbench's tracer, which
+# wraps it by this module's name; the figure itself reads sample cells.
+from repro.serving.tuning import sweep_executor_configurations  # noqa: F401
+from repro.sweeps import SweepCell, SweepGrid, SweepResults, ensure_results
 
 #: Executor-count candidates of the paper (xG+yC).
 DEFAULT_CANDIDATES: Tuple[Tuple[int, int], ...] = (
@@ -19,9 +28,28 @@ DEFAULT_CANDIDATES: Tuple[Tuple[int, int], ...] = (
 )
 
 
-def sweep_grid(settings: EvaluationSettings) -> SweepGrid:
-    """Figure 17 runs the offline tuning sweep on samples; no serving cells."""
-    return SweepGrid.empty()
+def _cell(device_name: str, task_name: str, sample_size: int, gpu: int, cpu: int) -> SweepCell:
+    """One executor mix replayed on the task's offline sample."""
+    return SweepCell.make(
+        "coserve", device_name, task_name,
+        sample_requests=sample_size, gpu_executors=gpu, cpu_executors=cpu,
+    )
+
+
+def sweep_grid(
+    settings: EvaluationSettings,
+    candidates: Sequence[Tuple[int, int]] = DEFAULT_CANDIDATES,
+    sample_size: int = 2000,
+) -> SweepGrid:
+    """One sample cell per device, measurement and executor mix."""
+    return SweepGrid.union(
+        *(
+            SweepGrid.single(_cell(device_name, task_name, sample_size, gpu, cpu))
+            for device_name in settings.devices
+            for _, task_name in TUNING_MEASUREMENTS
+            for gpu, cpu in candidates
+        )
+    )
 
 
 def run_figure17(
@@ -37,23 +65,17 @@ def run_figure17(
     the offline phase; ``sample_size`` controls the size of that sample.
     """
     context = context or EvaluationContext(settings)
+    grid = sweep_grid(context.settings, candidates, sample_size)
+    results = ensure_results(grid, results, context=context)
     rows = []
     for device_name in context.settings.devices:
-        device = context.device(device_name)
-        # Measurement A uses board A, Measurement B uses board B (§5.3).
-        for measurement, task_name in (("Measurement A", "A1"), ("Measurement B", "B1")):
-            _, model = context.board_and_model(task_name)
-            task = context.task(task_name)
-            board, _ = context.board_and_model(task_name)
-            sample = task.sample_stream(sample_size, board=board, model=model)
-            points = sweep_executor_configurations(
-                device,
-                model,
-                context.usage_profile(task_name),
-                sample,
-                candidates,
-                performance_matrix=context.performance_matrix(device_name, task_name),
-            )
+        for measurement, task_name in TUNING_MEASUREMENTS:
+            points = []
+            for gpu, cpu in candidates:
+                result = results[_cell(device_name, task_name, sample_size, gpu, cpu)]
+                points.append(
+                    ExecutorSweepPoint(gpu, cpu, result.throughput_rps, result.expert_switches)
+                )
             best_label = max(points, key=lambda point: point.throughput_rps).label
             for point in points:
                 rows.append(

@@ -12,7 +12,9 @@ representative sample of the workload:
 Both simply replay the sample through fully configured CoServe systems,
 which is exactly what the paper's offline phase does with its sample
 dataset.  A replay reads only aggregates, so its simulation keeps no
-request or stage records.
+request or stage records.  These functions replay in-process, for
+callers that bring their own sample; Figures 17 and 18 run the same
+replays as sample cells of the sweep (``sample_requests``).
 """
 
 from __future__ import annotations
@@ -93,6 +95,29 @@ def measure_throughput(
     return system.serve(sample_stream).throughput_rps
 
 
+def expert_count_limits(
+    device: Device,
+    model: CoEModel,
+    gpu_executors: Optional[int] = None,
+    cpu_executors: Optional[int] = None,
+) -> Tuple[int, int]:
+    """The ``(min, max)`` GPU expert counts a memory-allocation search tries.
+
+    The bounds hold for the executor mix the measured systems use:
+    CoServe's own defaults unless the caller fixes the counts.  Every
+    GPU executor holds at least one expert, and one largest expert's
+    worth of activation memory per GPU executor stays free.
+    """
+    arch = device.architecture.value
+    n_gpu = gpu_executors if gpu_executors is not None else DEFAULT_GPU_EXECUTORS[arch]
+    n_cpu = cpu_executors if cpu_executors is not None else DEFAULT_CPU_EXECUTORS[arch]
+    budget = usable_device_budget(device, n_cpu)
+    max_expert_count = int(
+        (budget.gpu_bytes - n_gpu * model.largest_expert_bytes) // model.mean_expert_bytes
+    )
+    return n_gpu, max(n_gpu, max_expert_count)
+
+
 def run_memory_allocation_search(
     device: Device,
     model: CoEModel,
@@ -107,18 +132,7 @@ def run_memory_allocation_search(
     if performance_matrix is None:
         performance_matrix = OfflineProfiler(device, model).build_performance_matrix()
     search = search or DecayWindowSearch(initial_window=15, error_margin=0.05)
-
-    # Bound the search for the executor mix the measured systems use:
-    # CoServe's own defaults unless the caller fixes the counts.
-    arch = device.architecture.value
-    n_gpu = gpu_executors if gpu_executors is not None else DEFAULT_GPU_EXECUTORS[arch]
-    n_cpu = cpu_executors if cpu_executors is not None else DEFAULT_CPU_EXECUTORS[arch]
-    budget = usable_device_budget(device, n_cpu)
-    # Leave one largest-expert's worth of activation memory per executor.
-    max_expert_count = int(
-        (budget.gpu_bytes - n_gpu * model.largest_expert_bytes) // model.mean_expert_bytes
-    )
-    max_expert_count = max(n_gpu, max_expert_count)
+    n_gpu, max_expert_count = expert_count_limits(device, model, gpu_executors, cpu_executors)
 
     def throughput_fn(count: int) -> float:
         return measure_throughput(

@@ -176,27 +176,22 @@ def extract_features(context: "EvaluationContext", cell: "SweepCell") -> CellFea
     The cell's serving system is constructed exactly as
     :func:`~repro.sweeps.runner.execute_cell` would construct it (same
     factory, same :meth:`~repro.sweeps.spec.SweepCell.system_overrides`,
-    same request count: a halving rung's reduced-fidelity cell is
-    described as the simulation the rung actually runs) and its
+    same stream and usage profile from ``context.cell_workload``: a
+    halving rung's reduced-fidelity cell is described as the simulation
+    the rung actually runs, a sample cell as its sample's replay) and its
     simulation is built — which runs the preload plans — but **no event
     is ever processed**: the probe only reads static structure.  A cell
     ``execute_cell`` would reject raises the same ``ValueError``.
     """
     overrides = cell.system_overrides()
-    num_requests = cell.fidelity
     device = context.device(cell.device)
     _, model = context.board_and_model(cell.task)
     matrix = context.performance_matrix(cell.device, cell.task)
+    stream, usage_profile = context.cell_workload(cell)
     system = build_system(
-        cell.system,
-        device,
-        model,
-        context.usage_profile(cell.task, num_requests),
-        performance_matrix=matrix,
-        **overrides,
+        cell.system, device, model, usage_profile, performance_matrix=matrix, **overrides
     )
     simulation = system.build_simulation()
-    stream = context.stream(cell.task, num_requests)
 
     # ------------------------------------------------------------------
     # Structure: executors, pools, scheduler.

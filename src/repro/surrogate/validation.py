@@ -302,20 +302,25 @@ def validate_grids(
 ) -> Dict[str, GridValidationReport]:
     """Run :func:`validate_grid` over registered experiment grids.
 
-    ``names`` defaults to every registered experiment whose grid is
-    non-empty under ``settings``; experiments that declare no serving
-    cells (table analyses, profile figures) are skipped.  One shared
-    context backs all grids, so boards, models and matrices are built
-    once per (device, task).
+    Each grid is validated on the cells a sweep plan scores: sample
+    cells (the offline tuning replays of Figures 17 and 18), which plans
+    never score or cut, are left out.  ``names`` defaults to every
+    registered experiment; one left with no cell under ``settings``
+    (table analyses, profile figures, the tuning figures) is skipped.
+    One shared context backs all grids, so boards, models and matrices
+    are built once per (device, task).
     """
     from repro.experiments import EXPERIMENT_GRIDS
     from repro.experiments.base import EvaluationContext
+    from repro.sweeps.spec import SweepGrid
 
     context = context or EvaluationContext(settings)
     surrogate = surrogate or QueueingSurrogate()
     reports: Dict[str, GridValidationReport] = {}
     for name in names if names is not None else sorted(EXPERIMENT_GRIDS):
-        grid = EXPERIMENT_GRIDS[name](settings)
+        grid = SweepGrid(
+            tuple(cell for cell in EXPERIMENT_GRIDS[name](settings) if cell.sample_size is None)
+        )
         if not grid:
             continue
         reports[name] = validate_grid(

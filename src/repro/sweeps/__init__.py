@@ -31,7 +31,9 @@ surrogate, and only the finalists pay for full simulation —
 byte-identical to an exhaustive run.  Dropped cells keep aborted
 placeholder results, never cached.  A one-shot cut is the plan with
 ``rungs=1``; :class:`HalvingRunner` is a runner whose plan defaults to
-a two-rung ladder.
+a two-rung ladder.  Sample cells (a ``sample_requests`` override: the
+offline tuning replays of Figures 17 and 18) are never planned; the
+runner executes them as they are.
 
 The distributed worker process lives in :mod:`repro.sweeps.worker`
 (console script ``coserve-sweep-worker``); ``docs/sweeps.md`` has a

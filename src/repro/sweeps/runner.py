@@ -109,10 +109,13 @@ def execute_cell(
     :meth:`SweepCell.at_fidelity`) simulate that many requests of the
     same workload instead of the settings-derived count — the
     low-fidelity rungs of a successive-halving sweep are exactly such
-    cells, executed by this same primitive on every backend.
+    cells, executed by this same primitive on every backend.  Sample
+    cells (``sample_requests``, the
+    :data:`~repro.sweeps.spec.SAMPLE_OVERRIDE_KEY`) replay the task's
+    offline sample instead: the tuning replays of Figures 17 and 18.
+    ``context.cell_workload`` picks the stream and the usage profile.
     """
     overrides = cell.system_overrides()
-    num_requests = cell.fidelity
     slo = {key: value for key, value in cell.overrides if key in SLO_OVERRIDE_KEYS}
     slo_target_ms = slo.get("slo_target_ms")
     overrides["options"] = dataclasses.replace(
@@ -122,15 +125,15 @@ def execute_cell(
     )
     device = context.device(cell.device)
     _, model = context.board_and_model(cell.task)
+    stream, usage_profile = context.cell_workload(cell)
     system = build_system(
         cell.system,
         device,
         model,
-        context.usage_profile(cell.task, num_requests),
+        usage_profile,
         performance_matrix=context.performance_matrix(cell.device, cell.task),
         **overrides,
     )
-    stream = context.stream(cell.task, num_requests)
     if slo_target_ms is None:
         result = system.serve(stream)
     else:
@@ -479,6 +482,11 @@ class SweepRunner:
                         self.cache.store(cell, result, results.estimate_for(cell))
                     yield cell, result
 
+        if plan is not None:
+            # A sample cell replays the offline sample at its own size:
+            # the plan never scores, cuts or re-runs it at another count.
+            yield from execute([cell for cell in todo if cell.sample_size is not None])
+            todo = [cell for cell in todo if cell.sample_size is None]
         if todo and plan is not None:
             yield from climb(self, plan, todo, results, execute)
         else:

@@ -32,6 +32,16 @@ CellKey = Tuple[str, str, str, Tuple[Tuple[str, object], ...]]
 #: are different simulations, so rung rows cache under their own keys.
 FIDELITY_OVERRIDE_KEY = "num_requests"
 
+#: Override key carrying the size of the offline sample a *sample
+#: cell* replays (§4.4–4.5): instead of the settings' request stream the
+#: cell serves ``Task.sample_stream(size)``, with the usage profile the
+#: deployment's full stream gives — exactly the replay the offline
+#: tuning searches (Figures 17 and 18) measure.  Consumed by the runner
+#: and part of the identity, like :data:`FIDELITY_OVERRIDE_KEY`, with
+#: which it cannot be combined: a sample has one size.  Sweep plans
+#: never score, cut or re-run a sample cell at another request count.
+SAMPLE_OVERRIDE_KEY = "sample_requests"
+
 #: Cell overrides consumed by the runner rather than passed to the
 #: system constructor: an SLO target turns the cell into an early-abort
 #: run (an :class:`~repro.simulation.slo.SLOMonitor` stops it at the
@@ -95,16 +105,25 @@ class SweepCell:
     def system_overrides(self) -> Dict[str, object]:
         """The overrides the system constructor receives.
 
-        Drops the fidelity and SLO keys (read through :attr:`fidelity`
-        and :data:`SLO_OVERRIDE_KEYS`), after checking them: a
-        non-positive request count, or SLO keys without
-        ``slo_target_ms`` (whose monitor would silently not run), raise
-        ``ValueError``.
+        Drops the fidelity, sample and SLO keys (read through
+        :attr:`fidelity`, :attr:`sample_size` and
+        :data:`SLO_OVERRIDE_KEYS`), after checking them: a non-positive
+        request count or sample size, both of them on one cell, or SLO
+        keys without ``slo_target_ms`` (whose monitor would silently not
+        run), raise ``ValueError``.
         """
         overrides = self.override_dict()
-        fidelity = overrides.pop(FIDELITY_OVERRIDE_KEY, None)
-        if fidelity is not None and int(fidelity) < 1:  # type: ignore[call-overload]
-            raise ValueError(f"cell {self.label()} declares a non-positive num_requests override")
+        counts = {
+            key: overrides.pop(key, None) for key in (FIDELITY_OVERRIDE_KEY, SAMPLE_OVERRIDE_KEY)
+        }
+        for key, count in counts.items():
+            if count is not None and int(count) < 1:  # type: ignore[call-overload]
+                raise ValueError(f"cell {self.label()} declares a non-positive {key} override")
+        if None not in counts.values():
+            raise ValueError(
+                f"cell {self.label()} declares both {FIDELITY_OVERRIDE_KEY} and "
+                f"{SAMPLE_OVERRIDE_KEY}; a sample cell replays its sample at its own size"
+            )
         slo = {key: overrides.pop(key, None) for key in SLO_OVERRIDE_KEYS}
         given = sorted(key for key, value in slo.items() if value is not None)
         if given and slo["slo_target_ms"] is None:
@@ -136,13 +155,21 @@ class SweepCell:
         overrides[FIDELITY_OVERRIDE_KEY] = count
         return dataclasses.replace(self, overrides=tuple(sorted(overrides.items())))
 
+    def _count(self, name: str) -> Optional[int]:
+        for key, value in self.overrides:
+            if key == name:
+                return int(value)  # type: ignore[call-overload]
+        return None
+
     @property
     def fidelity(self) -> Optional[int]:
         """The cell's request-count override, or None at full fidelity."""
-        for key, value in self.overrides:
-            if key == FIDELITY_OVERRIDE_KEY:
-                return int(value)  # type: ignore[call-overload]
-        return None
+        return self._count(FIDELITY_OVERRIDE_KEY)
+
+    @property
+    def sample_size(self) -> Optional[int]:
+        """The offline sample a sample cell replays, or None for any other cell."""
+        return self._count(SAMPLE_OVERRIDE_KEY)
 
     def label(self) -> str:
         """Compact human-readable form used in logs and errors."""

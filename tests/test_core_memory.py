@@ -163,6 +163,29 @@ class TestDecayWindowSearch:
         assert result.selected_count == expected_calls[-1]
         assert result.selected_throughput == curve(result.selected_count)
 
+    @pytest.mark.parametrize(
+        "error_margin, curve",
+        [
+            (0.05, lambda count: 25.0 - 0.012 * (count - 38) ** 2),
+            (0.05, lambda count: 50.0 - 0.05 * (count - 20) ** 2),
+            (10.0, float),
+        ],
+    )
+    @pytest.mark.parametrize("min_count, max_count", [(1, 64), (4, 50), (20, 30), (3, 3)])
+    def test_search_measures_a_prefix_of_the_slide(self, error_margin, curve, min_count, max_count):
+        """The slide names every window the search measures, in order, and
+        the first ``min_fit_points + 1`` of them are always measured."""
+        search = DecayWindowSearch(initial_window=15, error_margin=error_margin, seed=3)
+        slide = list(search.slide(max_count, min_count))
+        result = search.search(curve, max_expert_count=max_count, min_expert_count=min_count)
+        assert [count for count, _ in result.trace] == [count for _, count in slide][: len(result.trace)]
+        assert len(result.trace) >= min(len(slide), search.min_fit_points + 1)
+        assert (result.window_lower, result.window_upper) == (
+            max(min_count, slide[len(result.trace) - 1][0]),
+            slide[len(result.trace) - 1][1],
+        )
+        assert all(min_count <= count <= max_count for _, count in slide)
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             DecayWindowSearch(initial_window=0)

@@ -189,6 +189,31 @@ class TestPartialSelection:
                 # Minimal: without the last victim the bytes would not suffice.
                 assert freed - sizes[partial[-1]] < bytes_to_free
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_cut_is_minimal_prefix_of_a_twins_shuffle(self, seed):
+        """Each call cuts its seeded shuffle to the minimal covering prefix;
+        a same-seed twin asked for everything returns that shuffle whole, so
+        the cut leaves the RNG draws (and hence every later shuffle) as is."""
+        rng = random.Random(seed)
+        residents = [f"e{i:03d}" for i in range(40)]
+        sizes = {expert: rng.randrange(1, 50) * 1000 for expert in residents}
+        total = sum(sizes.values())
+        policy, twin = RandomPolicy(seed=seed), RandomPolicy(seed=seed)
+        pool = subscribed_pool(policy, residents, name="p", sizes=sizes)
+        twin_context = make_context(subscribed_pool(twin, residents, name="p", sizes=sizes))
+        for bytes_to_free in (0, 1, 5000, 40000, total, 40000):
+            partial = policy.victim_order(
+                dataclasses.replace(make_context(pool), bytes_to_free=bytes_to_free)
+            )
+            shuffle = twin.victim_order(twin_context)
+            assert sorted(shuffle) == sorted(residents)
+            assert partial == shuffle[: len(partial)], "not a prefix of the twin's shuffle"
+            freed = sum(sizes[expert] for expert in partial)
+            assert freed >= min(bytes_to_free, total)
+            if partial:
+                # Minimal: without the last victim the bytes would not suffice.
+                assert freed - sizes[partial[-1]] < bytes_to_free
+
     def test_zero_bytes_to_free_selects_nothing(self):
         policy = LRUPolicy()
         pool = subscribed_pool(policy, ["a", "b"])

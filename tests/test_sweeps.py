@@ -93,6 +93,8 @@ class TestSweepCell:
             SweepCell.make("s", "numa", "A1", num_requests=0).system_overrides()
         with pytest.raises(ValueError, match="without slo_target_ms"):
             SweepCell.make("s", "numa", "A1", slo_metric="service").system_overrides()
+        with pytest.raises(ValueError, match="both num_requests and sample_requests"):
+            SweepCell.make("s", "numa", "A1", sample_requests=300).at_fidelity(40).system_overrides()
 
 
 class TestSweepGrid:
@@ -172,11 +174,12 @@ def _serve_via_session(context, cell, observers=()):
     """Serve ``cell`` as ``execute_cell`` does, but on the options the
     cell declares (records kept unless it says otherwise), with
     ``observers`` attached; the result's requests are dropped."""
+    stream, usage_profile = context.cell_workload(cell)
     system = build_system(
         cell.system,
         context.device(cell.device),
         context.board_and_model(cell.task)[1],
-        context.usage_profile(cell.task),
+        usage_profile,
         performance_matrix=context.performance_matrix(cell.device, cell.task),
         **cell.system_overrides(),
     )
@@ -189,7 +192,7 @@ def _serve_via_session(context, cell, observers=()):
             metric=overrides["slo_metric"],
         )
         observers.append(monitor)
-    session = system.session(context.stream(cell.task), observers=observers)
+    session = system.session(stream, observers=observers)
     try:
         result = session.run()
     except SimulationAborted:
